@@ -32,14 +32,15 @@ Public surface
     the session adds progress callbacks and ``as_completed()`` iteration,
     and per-spec retry/timeout policy is enforced by the session
     scheduler.
-:class:`SweepJob` / :class:`RemoteExecutor`
-    The versioned ``repro-job/1`` wire protocol (spec payload + model
-    registry name + seed + digest-guarded dense baseline — never live
-    modules) and its reference transport: worker subprocesses speaking
-    JSON over stdio (``python -m repro.api.worker``).
+:class:`SweepJob` / :func:`execute_shard` / :class:`RemoteExecutor`
+    The one sweep task and its one runner.  In memory a job may carry a
+    built model; its versioned ``repro-job/1`` wire form (spec payload +
+    model registry name + seed + digest-guarded dense baseline) travels
+    to the reference transport: worker subprocesses speaking JSON over
+    stdio (``python -m repro.api.worker``).
 :class:`SweepExecutor` / :func:`register_executor` / :func:`available_executors`
     The string-keyed executor registry (``"serial"``, ``"thread"``,
-    ``"process"``, ``"remote"``).
+    ``"process"``, ``"remote"``); a strategy implements ``open()``.
 :class:`CompressionMethod` / :class:`CompressedModel`
     The protocol every method adapter implements, and its output.
 :func:`available_methods` / :func:`get_method` / :func:`register_method`
@@ -122,8 +123,8 @@ from .jobs import (
     RemoteJobError,
     RemoteWorkerError,
     SweepJob,
-    execute_job,
     execute_plan_job,
+    execute_shard,
     plan_job_payload,
     run_plan_remote,
     worker_main,
@@ -131,12 +132,10 @@ from .jobs import (
 from .session import (
     RetryPolicy,
     SessionEvent,
-    ShardTask,
     SweepCancelledError,
     SweepFuture,
     SweepSession,
     SweepTimeoutError,
-    execute_shard,
     print_progress,
 )
 from .pipeline import (
@@ -183,11 +182,10 @@ __all__ = [
     "resolve_loaders", "compile_report", "plan_address", "PLAN_ADDRESS_KIND",
     # sessions
     "SweepSession", "SweepFuture", "RetryPolicy", "SessionEvent",
-    "SweepTimeoutError", "SweepCancelledError", "ShardTask",
-    "execute_shard", "print_progress",
+    "SweepTimeoutError", "SweepCancelledError", "print_progress",
     # wire protocol / remote workers
     "SweepJob", "RemoteExecutor", "RemoteJobError", "RemoteWorkerError",
-    "LoaderPlan", "execute_job", "worker_main",
+    "LoaderPlan", "execute_shard", "worker_main",
     "plan_job_payload", "execute_plan_job", "run_plan_remote",
     "JOB_SCHEMA", "JOB_RESULT_SCHEMA", "FAILURE_SCHEMA",
     # result cache + digests

@@ -14,9 +14,10 @@ the shards run:
 Executors are registered by name exactly like ``repro.nn`` backends —
 :func:`register_executor` / :func:`get_executor` — and selected per sweep
 via ``run_sweep(..., executor="process")`` or process-wide via the
-``REPRO_SWEEP_EXECUTOR`` environment variable.  Whatever the strategy,
-shard results are collected **in task order**, so the merged sweep is
-bit-identical to a serial run.
+``REPRO_SWEEP_EXECUTOR`` environment variable.  A strategy implements one
+surface, :meth:`SweepExecutor.open`, returning a :class:`ShardPool`; the
+session merges shard results **in spec order**, so the merged sweep is
+bit-identical to a serial run whatever the strategy.
 
 Engine-state hygiene is handled by :class:`EngineState`: the sweep parent
 captures the active backend / dtype / grad mode once, every shard
@@ -32,7 +33,7 @@ from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Type, Union
 
 from ..nn.backend import ExecutionState, capture_execution_state
 from ..nn.tensor import (
@@ -129,11 +130,12 @@ class ShardPool:
     """One *open* executor instance accepting shard submissions over time.
 
     :meth:`SweepExecutor.open` returns one of these; a
-    :class:`~repro.api.session.SweepSession` submits shards as specs arrive
-    instead of handing the executor a closed batch.  ``submit`` returns a
-    ``concurrent.futures.Future`` resolving to a :class:`ShardResult` — a
-    shard failure is *data* on the result, never an exception out of the
-    future (transport failures, e.g. an unpicklable task, are the
+    :class:`~repro.api.session.SweepSession` submits one
+    :class:`~repro.api.jobs.SweepJob` per shard as specs arrive.
+    ``submit(fn, index, job)`` returns a ``concurrent.futures.Future``
+    resolving to a :class:`ShardResult` of ``fn(job)`` — a shard failure
+    is *data* on the result, never an exception out of the future
+    (transport failures, e.g. an unpicklable job, are the
     exception-raising case the caller must still guard).
     """
 
@@ -149,21 +151,6 @@ class ShardPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class _InlineShardPool(ShardPool):
-    """Run every shard synchronously in the submitting thread.
-
-    The default ``open`` surface for strategies that only implement the
-    batch ``run`` (and for :class:`SerialExecutor`, where it is exactly the
-    reference semantics): ``submit`` blocks until the shard finishes and
-    returns an already-resolved future.
-    """
-
-    def submit(self, fn, index, task):
-        future: "Future[ShardResult]" = Future()
-        future.set_result(_call_shard(fn, index, task))
-        return future
 
 
 class _FuturesShardPool(ShardPool):
@@ -186,42 +173,33 @@ class _FuturesShardPool(ShardPool):
 # Executors
 # --------------------------------------------------------------------------- #
 class SweepExecutor:
-    """Strategy interface: map ``fn`` over tasks, results in task order.
+    """Strategy interface: an incremental pool of shard workers.
 
-    ``run`` never raises for a *shard* failure — each failure is returned
-    as a :class:`ShardResult` carrying the exception, so the caller decides
-    the policy (``run_sweep``'s ``on_error``).  ``fail_fast=True`` allows a
-    strategy to stop scheduling new shards after the first failure (the
-    serial executor honours it exactly; pools may run shards to completion).
-
-    :meth:`open` is the incremental counterpart used by
-    :class:`~repro.api.session.SweepSession`: it returns a
-    :class:`ShardPool` accepting one submission at a time, so specs can be
-    scheduled, retried and cancelled individually.  Strategies that do not
-    override it fall back to inline (submit-runs-the-shard) execution.
+    :meth:`open` is the one surface a strategy implements: it returns a
+    :class:`ShardPool` accepting one :class:`~repro.api.jobs.SweepJob` at a
+    time, so :class:`~repro.api.session.SweepSession` can schedule, retry
+    and cancel specs individually.  A shard failure is never raised — it
+    comes back as a :class:`ShardResult` carrying the exception, and the
+    session decides the policy (``run_sweep``'s ``on_error``).
     """
 
     name: str = "abstract"
 
     #: True for strategies that run every shard in the caller's thread and
     #: therefore inherit its ambient engine state; parallel strategies need
-    #: a shippable :class:`EngineState` snapshot instead.
+    #: a shippable :class:`EngineState` snapshot instead.  The session runs
+    #: inline strategies itself and never opens a pool on them.
     inline: bool = False
 
     #: True for strategies whose shards travel as ``repro-job/1`` wire
-    #: payloads (JSON dicts) instead of pickled live task objects; the
-    #: session converts tasks to :class:`~repro.api.jobs.SweepJob`
-    #: payloads before submitting to such a strategy.
+    #: payloads (JSON dicts) instead of in-memory
+    #: :class:`~repro.api.jobs.SweepJob` objects; the session encodes each
+    #: job before submitting to such a strategy.
     wire: bool = False
-
-    def run(self, fn: Callable[[Any], Any], tasks: Sequence[Any],
-            max_workers: Optional[int] = None,
-            fail_fast: bool = False) -> List[ShardResult]:
-        raise NotImplementedError
 
     def open(self, max_workers: Optional[int] = None) -> ShardPool:
         """An incremental-submission pool over this strategy."""
-        return _InlineShardPool()
+        raise NotImplementedError
 
     def pool_capacity(self, max_workers: Optional[int]) -> int:
         """Worker capacity of an incremental pool (task count unknown).
@@ -234,14 +212,6 @@ class SweepExecutor:
             raise ValueError("max_workers must be at least 1")
         return max_workers if max_workers is not None else (os.cpu_count() or 1)
 
-    def resolved_workers(self, num_tasks: int,
-                         max_workers: Optional[int]) -> int:
-        if max_workers is not None:
-            if max_workers < 1:
-                raise ValueError("max_workers must be at least 1")
-            return min(max_workers, max(1, num_tasks))
-        return min(max(1, num_tasks), os.cpu_count() or 1)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -252,48 +222,18 @@ class SerialExecutor(SweepExecutor):
     name = "serial"
     inline = True
 
-    def run(self, fn, tasks, max_workers=None, fail_fast=False):
-        results: List[ShardResult] = []
-        for index, task in enumerate(tasks):
-            result = _call_shard(fn, index, task)
-            results.append(result)
-            if fail_fast and not result.ok:
-                break
-        return results
-
 
 class _PoolExecutor(SweepExecutor):
-    """Shared submit/collect logic for the thread and process pools."""
+    """Shared pool wrapping for the thread and process strategies."""
 
-    def _make_pool(self, workers: int) -> _FuturesExecutor:
+    def _new_pool(self, workers: int) -> _FuturesExecutor:
         raise NotImplementedError
 
     def open(self, max_workers: Optional[int] = None) -> ShardPool:
-        return _FuturesShardPool(self._make_pool(self.pool_capacity(max_workers)))
-
-    def run(self, fn, tasks, max_workers=None, fail_fast=False):
-        tasks = list(tasks)
-        if not tasks:
-            return []
         # A single worker still runs through the pool: executor="process"
-        # must always mean real process isolation (pickled tasks, crash
-        # containment), even on one-CPU hosts where the default worker
-        # count resolves to 1.
-        workers = self.resolved_workers(len(tasks), max_workers)
-        results: List[ShardResult] = []
-        with self._make_pool(workers) as pool:
-            futures = [pool.submit(_call_shard, fn, index, task)
-                       for index, task in enumerate(tasks)]
-            # Collect in submission (= spec) order: the merge must not
-            # depend on completion order.
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    # The pool failed to round-trip the shard itself (e.g.
-                    # an unpicklable task); surface it as that shard's error.
-                    results.append(ShardResult(index=len(results), error=exc))
-        return results
+        # must always mean real process isolation (pickled jobs, crash
+        # containment), even on one-CPU hosts.
+        return _FuturesShardPool(self._new_pool(self.pool_capacity(max_workers)))
 
 
 class ThreadExecutor(_PoolExecutor):
@@ -301,7 +241,7 @@ class ThreadExecutor(_PoolExecutor):
 
     name = "thread"
 
-    def _make_pool(self, workers: int) -> _FuturesExecutor:
+    def _new_pool(self, workers: int) -> _FuturesExecutor:
         return ThreadPoolExecutor(max_workers=workers,
                                   thread_name_prefix="repro-sweep")
 
@@ -317,7 +257,7 @@ class ProcessExecutor(_PoolExecutor):
 
     name = "process"
 
-    def _make_pool(self, workers: int) -> _FuturesExecutor:
+    def _new_pool(self, workers: int) -> _FuturesExecutor:
         import multiprocessing as mp
 
         if "fork" in mp.get_all_start_methods():

@@ -1,13 +1,16 @@
-"""The ``repro-job/1`` wire protocol: sweep shards as pure-JSON payloads.
+"""Sweep shards as :class:`SweepJob` tasks and their ``repro-job/1`` wire form.
 
-A :class:`SweepJob` is everything an *off-host* worker needs to run one
-:class:`~repro.api.spec.CompressionSpec` — the spec's ``to_dict()``
-payload, the **model registry name** plus build seed (never a live
-module), the parent's table-level dense baseline guarded by a SHA-256
-digest, the engine snapshot (backend / dtype / grad mode, by name), the
-accelerator spec, and the data *recipe*.  The whole job round-trips
-through JSON, so any transport that moves text — stdio, ssh, a job queue
-— can move sweep shards.
+A :class:`SweepJob` is everything one shard needs to run one
+:class:`~repro.api.spec.CompressionSpec` — the spec, the model, the
+parent's table-level dense baseline, the engine snapshot (backend / dtype /
+grad mode), the accelerator spec and the data recipe — and
+:func:`execute_shard` is the one runner every executor calls.  In memory
+(serial, thread and process executors) the job may carry a built model and
+live user loaders.  Its :meth:`SweepJob.to_dict` wire form requires a
+**model registry name** plus build seed and a synthetic data recipe, and
+carries the dense baseline guarded by a SHA-256 digest; it round-trips
+through JSON, so any transport that moves text — stdio, ssh, a job queue —
+can move sweep shards.
 
 Two result schemas complete the protocol:
 
@@ -32,9 +35,7 @@ the template for ssh / job-queue transports.
 
 from __future__ import annotations
 
-import base64
 import copy
-import io
 import json
 import os
 import queue
@@ -42,13 +43,15 @@ import subprocess
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, List, Mapping, Optional
+from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
 import numpy as np
 
 from ..data import DataLoader, SyntheticImageDataset
+from ..deploy.serialize import array_from_payload, array_to_payload
 from ..hardware import EnergyTable, EyerissSpec
 from ..models import build_model
+from ..nn.module import Module
 from .digests import payload_digest
 from .executor import (
     EngineState,
@@ -85,20 +88,9 @@ class RemoteWorkerError(RuntimeError):
 
 
 # --------------------------------------------------------------------------- #
-# JSON codecs: arrays, datasets, loader plans, hardware specs, engine state
+# JSON codecs: datasets, loader plans, hardware specs, engine state (arrays
+# use the repro-plan/1 base64-npy codec, which keeps their memory layout)
 # --------------------------------------------------------------------------- #
-def array_to_payload(array: np.ndarray) -> Dict[str, Any]:
-    """Encode an ndarray exactly (dtype, shape and bytes) as JSON-safe text."""
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
-    return {"npy": base64.b64encode(buffer.getvalue()).decode("ascii")}
-
-
-def array_from_payload(payload: Mapping[str, Any]) -> np.ndarray:
-    return np.load(io.BytesIO(base64.b64decode(payload["npy"])),
-                   allow_pickle=False)
-
-
 def dataset_to_payload(dataset: SyntheticImageDataset) -> Dict[str, Any]:
     return {
         "images": array_to_payload(dataset.images),
@@ -246,18 +238,20 @@ def dense_digest(dense_payload: Mapping[str, Any]) -> str:
 # --------------------------------------------------------------------------- #
 @dataclass
 class SweepJob:
-    """One sweep shard, fully described without any live python object.
+    """One sweep shard: the only task shape any executor runs.
 
-    The worker bootstrap is *by name and seed*: ``model`` is a
-    :func:`repro.models.build_model` registry name and ``seed`` the RNG
-    seed it was built with in the parent, so the worker's rebuild is
-    bit-identical to the parent's deep copy.  The dense baseline travels
+    ``model`` is either a built :class:`~repro.nn.module.Module` (in-memory
+    executors; each shard runs on a deep copy) or a
+    :func:`repro.models.build_model` registry name, rebuilt at ``seed`` —
+    the RNG seed the parent built it with, so the rebuild is bit-identical
+    to the parent's copy.  Only the wire form (:meth:`to_dict`) needs a
+    registry name and a JSON data recipe; there the dense baseline travels
     table-level (:meth:`DenseBaseline.to_dict`) and is integrity-checked
     against :attr:`dense_digest` on arrival.
     """
 
     spec: CompressionSpec
-    model: str
+    model: Union[str, Module]
     seed: int
     dense: DenseBaseline
     engine: Optional[EngineState] = None
@@ -269,7 +263,17 @@ class SweepJob:
     warm: Optional[Dict[str, np.ndarray]] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        """The JSON-safe ``repro-job/1`` payload (round-trips exactly)."""
+        """The JSON-safe ``repro-job/1`` payload (round-trips exactly).
+
+        Raises ``TypeError`` for in-memory-only jobs: a built model (the
+        wire bootstraps workers from the model registry) or live user
+        loaders.
+        """
+        if not isinstance(self.model, str):
+            raise TypeError(
+                "repro-job/1 bootstraps workers from the model registry and "
+                "cannot ship a built Module; pass a registry name "
+                "(e.g. 'resnet20')")
         dense_payload = self.dense.to_dict()
         return {
             "schema": JOB_SCHEMA,
@@ -313,18 +317,23 @@ class SweepJob:
         )
 
 
-def execute_job(job: SweepJob) -> CompressionReport:
-    """Run one job to a report — the worker-side half of the protocol.
+def execute_shard(job: SweepJob) -> CompressionReport:
+    """Run one shard to a report — in-process or inside a remote worker.
 
-    Mirrors the in-process shard execution exactly: the engine snapshot is
-    re-applied (or hook isolation alone when no snapshot travelled), the
-    model is rebuilt from the registry at the job's seed, loaders come from
-    the data recipe, and the broadcast dense baseline suppresses the dense
-    stage.
+    The engine snapshot is re-applied (``engine=None`` means the parent's
+    backend had no registry name to travel by: the shard runs under the
+    ambient state with hook isolation only, which is correct for the
+    serial executor, the only strategy that can reach such a backend).  A
+    built model is deep-copied, a registry name rebuilt at the job's seed;
+    loaders come from the data plan, and the broadcast dense baseline
+    suppresses the dense stage.
     """
     scope = job.engine.scope() if job.engine is not None else op_hook_isolation()
     with scope:
-        model = build_model(job.model, rng=np.random.default_rng(job.seed))
+        if isinstance(job.model, str):
+            model = build_model(job.model, rng=np.random.default_rng(job.seed))
+        else:
+            model = copy.deepcopy(job.model)
         pipeline = CompressionPipeline(job.spec, hardware=job.hardware)
         return pipeline.run(model=model, data=job.data.make(),
                             dense=job.dense, inplace=True,
@@ -405,7 +414,7 @@ def worker_main(stdin: Optional[IO[str]] = None,
                            "job_id": int(job_id), "ok": True,
                            "output": array_to_payload(output)}
             else:
-                report = execute_job(SweepJob.from_dict(message))
+                report = execute_shard(SweepJob.from_dict(message))
                 payload = job_result_payload(job_id, report=report)
         except Exception as exc:  # job failures are protocol data, not crashes
             payload = job_result_payload(job_id, error=exc)
@@ -420,10 +429,10 @@ def worker_main(stdin: Optional[IO[str]] = None,
 def _coerce_job_payload(task: Any) -> Dict[str, Any]:
     """Accept a :class:`SweepJob` or its payload dict; reject anything else.
 
-    The remote transport moves ``repro-job/1`` text, not pickled task
-    objects — a :class:`~repro.api.session.ShardTask` (or any other value)
-    must fail here with a clear message instead of surfacing as an opaque
-    ``json.dumps`` error after burning a worker subprocess.
+    The remote transport moves ``repro-job/1`` text, not pickled objects —
+    any other value must fail here with a clear message instead of
+    surfacing as an opaque ``json.dumps`` error after burning a worker
+    subprocess.
     """
     if isinstance(task, SweepJob):
         return task.to_dict()
@@ -488,6 +497,11 @@ class _WorkerProcess:
             if self.alive():
                 self.process.kill()
                 self.process.wait()
+            for pipe in (self.process.stdin, self.process.stdout):
+                try:
+                    pipe.close()
+                except OSError:
+                    pass  # unflushed bytes to a dead worker; the fd still closes
 
 
 def run_plan_remote(plan: Any, x: Any) -> np.ndarray:
@@ -640,29 +654,6 @@ class RemoteExecutor(SweepExecutor):
 
     def open(self, max_workers: Optional[int] = None) -> ShardPool:
         return _RemoteShardPool(self.pool_capacity(max_workers))
-
-    def run(self, fn, tasks, max_workers=None, fail_fast=False):
-        """Batch surface over the same transport (``fn`` is unused).
-
-        ``tasks`` must be :class:`SweepJob` instances or their ``to_dict``
-        payloads — validated up front, so a caller handing this strategy
-        in-process task objects gets one clear ``TypeError`` instead of a
-        per-shard transport failure.
-        """
-        tasks = [_coerce_job_payload(task) for task in tasks]
-        if not tasks:
-            return []
-        workers = self.resolved_workers(len(tasks), max_workers)
-        results: List[ShardResult] = []
-        with self.open(workers) as pool:
-            futures = [pool.submit(fn, index, task)
-                       for index, task in enumerate(tasks)]
-            for index, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    results.append(ShardResult(index=index, error=exc))
-        return results
 
 
 register_executor("remote", RemoteExecutor)

@@ -24,11 +24,14 @@ shard receives the broadcast baseline, and :meth:`SweepSession.result`
 merges reports **in spec order** — so ``run_sweep`` is now a thin façade
 over a session, bit-identical to the previous serial path.
 
-Execution strategies plug in through :meth:`SweepExecutor.open`.  For
-``wire`` strategies (:class:`repro.api.jobs.RemoteExecutor`), the session
-converts each shard into a ``repro-job/1`` payload — spec dict, model
-registry name, seed, digest-guarded dense baseline — instead of a pickled
-task, which is what lets the same submission model drive off-host workers.
+Every shard is a :class:`~repro.api.jobs.SweepJob` run by
+:func:`~repro.api.jobs.execute_shard`; execution strategies plug in
+through :meth:`SweepExecutor.open`.  In-process strategies receive the job
+itself (carrying the session's built model).  For ``wire`` strategies
+(:class:`repro.api.jobs.RemoteExecutor`), the session sends its
+``repro-job/1`` payload — spec dict, model registry name, seed,
+digest-guarded dense baseline — which is what lets the same submission
+model drive off-host workers.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from .executor import (
     ShardPool,
     ShardResult,
     SweepExecutor,
-    op_hook_isolation,
     resolve_executor,
 )
 from .cache import (
@@ -73,7 +75,7 @@ from .cache import (
     resolve_cache,
 )
 from .digests import data_digest, model_digest
-from .jobs import LoaderPlan, SweepJob, state_to_payload
+from .jobs import LoaderPlan, SweepJob, execute_shard, state_to_payload
 from .pipeline import (
     CompressionPipeline,
     CompressionReport,
@@ -143,40 +145,6 @@ class SessionEvent:
     attempt: int = 0
     category: Optional[str] = None
     error: Optional[BaseException] = None
-
-
-@dataclass
-class ShardTask:
-    """Everything one shard needs, shipped to an in-process worker at once.
-
-    The dense baseline is computed once in the session and broadcast here
-    so no shard re-profiles (or re-maps on the accelerator) the dense
-    network; ``state`` re-applies the parent's backend / dtype / grad mode
-    inside the worker.  Wire executors receive the :class:`SweepJob`
-    payload built from the same fields instead of this (pickled) object.
-    """
-
-    spec: CompressionSpec
-    model: Module
-    loaders: LoaderPlan
-    hardware: Optional[EyerissSpec]
-    dense: DenseBaseline
-    state: Optional[EngineState]
-    warm: Optional[dict] = None
-
-
-def execute_shard(task: ShardTask) -> CompressionReport:
-    """Run one spec in an isolated execution context (any worker, any host)."""
-    # state=None means the parent's backend had no registry name to travel
-    # by; run under the ambient state (correct for the serial executor, the
-    # only strategy that can reach such a backend) with hook isolation only.
-    scope = task.state.scope() if task.state is not None else op_hook_isolation()
-    with scope:
-        pipeline = CompressionPipeline(task.spec, hardware=task.hardware)
-        return pipeline.run(model=copy.deepcopy(task.model),
-                            data=task.loaders.make(),
-                            dense=task.dense, inplace=True,
-                            warm_start=task.warm)
 
 
 def _loader_plan(data: DataArg, seed: int) -> LoaderPlan:
@@ -503,7 +471,7 @@ class SweepSession:
         — exactly like ``run_sweep``.  With ``fail_fast=True``, a failure
         stops further scheduling and cancels the batch's unscheduled
         remainder (only inline strategies fail mid-loop; pools schedule
-        everything up front, mirroring the batch executor semantics).
+        everything up front).
         """
         futures: List[SweepFuture] = []
         try:
@@ -689,6 +657,7 @@ class SweepSession:
 
     # -- scheduling -------------------------------------------------------- #
     def _shard_payload(self, future: SweepFuture) -> Any:
+        """The future's :class:`SweepJob`, or its wire payload for ``wire``."""
         warm = None if future._warm is None else future._warm.state
         if self._wire_common is not None:
             payload = {**self._wire_common,
@@ -697,10 +666,10 @@ class SweepSession:
             if warm is not None:
                 payload["warm"] = state_to_payload(warm)
             return payload
-        return ShardTask(spec=future.spec, model=self._base_model,
-                         loaders=self._plan, hardware=self._hardware,
-                         dense=self._shard_dense, state=self._state,
-                         warm=warm)
+        return SweepJob(spec=future.spec, model=self._base_model,
+                        seed=self._seed, dense=self._shard_dense,
+                        engine=self._state, hardware=self._hardware,
+                        data=self._plan, job_id=future.index, warm=warm)
 
     # -- cache ------------------------------------------------------------- #
     def _future_key(self, future: SweepFuture) -> Optional[CacheKey]:
@@ -790,7 +759,7 @@ class SweepSession:
         (or retries, per the policy) as a timeout — its report, if any, is
         discarded, matching what a pool-backed session would have done.
         """
-        task = self._shard_payload(future)
+        job = self._shard_payload(future)
         while True:
             attempt = future.attempts + 1
             self._emit("scheduled", future)
@@ -800,7 +769,7 @@ class SweepSession:
             # see the sweep's dtype/backend, not this thread's defaults.
             try:
                 with use_backend(future.spec.backend, dtype=future.spec.dtype):
-                    report = execute_shard(task)
+                    report = execute_shard(job)
                 error = None
             except Exception as exc:
                 report, error = None, exc
@@ -830,16 +799,16 @@ class SweepSession:
 
     def _submit_attempt(self, future: SweepFuture, attempt: int) -> None:
         pool = self._ensure_pool()
-        task = self._shard_payload(future)
+        job = self._shard_payload(future)
         with self._cond:
             if future.done():
                 return
             future._attempt_token = attempt
         try:
-            pool_future = pool.submit(execute_shard, future.index, task)
+            pool_future = pool.submit(execute_shard, future.index, job)
         except Exception as exc:
             # The pool could not even accept the shard (e.g. an unpicklable
-            # task, or a pool torn down mid-submit).
+            # job, or a pool torn down mid-submit).
             with self._cond:
                 if future.done():
                     return

@@ -66,9 +66,10 @@ class _NotPolymorphic(Exception):
 
 
 # --------------------------------------------------------------------------- #
-# base64-npy array codec (same payload shape as repro-job/1 datasets)
+# base64-npy array codec, shared with the repro-job/1 wire form
 # --------------------------------------------------------------------------- #
-def _array_to_b64(array: np.ndarray) -> Dict[str, str]:
+def array_to_payload(array: np.ndarray) -> Dict[str, str]:
+    """Encode an ndarray exactly (dtype, shape, bytes, memory order)."""
     # np.save preserves C/F memory order via the fortran_order header flag,
     # which matters for bit-identity: BLAS kernels round differently for
     # different layouts, so a transposed (F-order) linear weight must come
@@ -78,7 +79,7 @@ def _array_to_b64(array: np.ndarray) -> Dict[str, str]:
     return {"npy": base64.b64encode(buffer.getvalue()).decode("ascii")}
 
 
-def _array_from_b64(payload: Mapping[str, str]) -> np.ndarray:
+def array_from_payload(payload: Mapping[str, str]) -> np.ndarray:
     raw = base64.b64decode(payload["npy"])
     return np.load(io.BytesIO(raw), allow_pickle=False)
 
@@ -461,7 +462,7 @@ def plan_payload(plan: InferencePlan) -> Dict[str, Any]:
             "dims": [[int(m), int(c)] for m, c in entry["dims"]],
         }
         if entry["const"] is not None:
-            wire["data"] = _array_to_b64(program.consts[entry["const"]])
+            wire["data"] = array_to_payload(program.consts[entry["const"]])
         values_payload.append(wire)
     budget = program.memory_budget
     payload: Dict[str, Any] = {
@@ -498,7 +499,7 @@ def _program_from_payload(payload: Mapping[str, Any]) -> PlanProgram:
         }
         if "data" in wire:
             entry["const"] = len(consts)
-            consts.append(_array_from_b64(wire["data"]))
+            consts.append(array_from_payload(wire["data"]))
         values.append(entry)
     budget = payload.get("memory_budget")
     return PlanProgram(

@@ -556,7 +556,7 @@ class TestJobWireFormat:
         with pytest.raises(TypeError, match="remote"):
             plan.to_payload()
 
-    def test_execute_job_matches_serial_pipeline(self):
+    def test_execute_shard_matches_serial_pipeline(self):
         reference = api.run_sweep(
             [api.CompressionSpec(method="magnitude")], model="lenet",
             hardware=None, seed=3, executor="serial")
@@ -565,9 +565,19 @@ class TestJobWireFormat:
                                         hardware=None, accuracy=dense.accuracy)
         job = make_job(
             spec=reference.reports[0].spec, dense=shard_dense, seed=3)
-        report = api.execute_job(
+        report = api.execute_shard(
             api.SweepJob.from_dict(json.loads(json.dumps(job.to_dict()))))
         assert report.cost == reference.reports[0].cost
+
+    def test_f_order_state_keeps_its_layout(self):
+        """BLAS rounds by memory layout, so F-order arrays must stay F-order."""
+        from repro.api.jobs import state_from_payload, state_to_payload
+        weight = np.asfortranarray(
+            np.random.default_rng(0).standard_normal((6, 4)))
+        payload = json.loads(json.dumps(state_to_payload({"w": weight})))
+        restored = state_from_payload(payload)["w"]
+        assert restored.flags.f_contiguous and not restored.flags.c_contiguous
+        np.testing.assert_array_equal(restored, weight)
 
     def test_sweep_failure_round_trips(self):
         failure = api.SweepFailure(
@@ -612,6 +622,53 @@ class TestJobWireFormat:
     def test_report_schema_error_names_expected_tag(self):
         with pytest.raises(ValueError, match="repro-report/1"):
             api.CompressionReport.from_dict({"schema": "repro-report/9"})
+
+
+class TestOneTaskShape:
+    """SweepJob is the only sweep task; in memory it may carry a built model."""
+
+    @pytest.fixture(scope="class")
+    def trained_job(self, dataset):
+        train, val = dataset.split(0.8)
+        return make_job(
+            spec=api.CompressionSpec(method="magnitude", epochs=1,
+                                     input_shape=INPUT_SHAPE),
+            data=api.LoaderPlan(kind="synthetic", train_split=train,
+                                val_split=val, seed=3))
+
+    @pytest.fixture(scope="class")
+    def wire_report(self, trained_job):
+        payload = json.loads(json.dumps(trained_job.to_dict()))
+        return api.execute_shard(api.SweepJob.from_dict(payload))
+
+    @staticmethod
+    def module_job(job):
+        from dataclasses import replace
+        from repro.models import build_model
+        return replace(job, model=build_model(
+            job.model, rng=np.random.default_rng(job.seed)))
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_module_job_matches_wire_job(self, executor, trained_job,
+                                         wire_report):
+        job = self.module_job(trained_job)
+        before = api.model_digest(job.model)
+        strategy = api.get_executor(executor)
+        if strategy.inline:  # sessions run inline strategies themselves
+            report = api.execute_shard(job)
+        else:
+            with strategy.open(max_workers=1) as pool:
+                shard = pool.submit(api.execute_shard, 0, job).result(timeout=300)
+            assert shard.ok, shard.error
+            report = shard.value
+        assert report.to_dict() == wire_report.to_dict()
+        assert (api.model_digest(report.compressed.model)
+                == api.model_digest(wire_report.compressed.model))
+        assert api.model_digest(job.model) == before  # shards train a copy
+
+    def test_module_job_has_no_wire_form(self, trained_job):
+        with pytest.raises(TypeError, match="model registry"):
+            self.module_job(trained_job).to_dict()
 
 
 class TestWorkerProtocol:
@@ -695,8 +752,6 @@ class TestRemoteExecutor:
                 pool.submit(None, 0, object())
         finally:
             pool.close()
-        with pytest.raises(TypeError, match="repro-job/1"):
-            api.RemoteExecutor().run(None, [object()])
 
     def test_transport_failure_fails_the_shard_without_stranding_workers(self):
         """A worker slot must come back even when the round-trip itself dies."""
@@ -713,6 +768,29 @@ class TestRemoteExecutor:
             pool.close()
         assert not first.ok and isinstance(first.error, TypeError)
         assert second.ok
+
+    def test_worker_pipes_closed_on_close_and_after_a_crash(self):
+        from repro.api.jobs import _WorkerProcess
+
+        def pipes_closed(worker):
+            return worker.process.stdin.closed and worker.process.stdout.closed
+
+        worker = _WorkerProcess()
+        worker.close()
+        assert pipes_closed(worker)
+
+        pool = api.RemoteExecutor().open(max_workers=1)
+        try:
+            assert pool.submit(None, 0, make_job().to_dict()).result(timeout=120).ok
+            crashed = pool._all[0]
+            crashed.process.kill()
+            crashed.process.wait()
+            result = pool.submit(None, 1, make_job().to_dict()).result(timeout=120)
+            assert isinstance(result.error, api.RemoteWorkerError)
+            assert crashed not in pool._all  # discarded, not checked back in
+            assert pipes_closed(crashed)
+        finally:
+            pool.close()
 
     def test_remote_pool_spawns_workers_lazily(self):
         """A single job must not fork a whole host's worth of workers."""
