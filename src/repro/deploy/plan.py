@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -471,6 +472,20 @@ class _ViewStep(_Step):
                 out_index, regs[in_index][index])
 
 
+def _relu(a, *, mask, out):
+    """The eager relu ``a * (a > 0)``, bit for bit, via a bool mask buffer."""
+    np.greater(a, 0, out=mask)
+    return np.multiply(a, mask, out=out)
+
+
+def _sigmoid(a, *, out):
+    """The eager ``1 / (1 + exp(-a))`` as four in-place ufuncs."""
+    np.negative(a, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
 class _ConvStep(_Step):
     """im2col convolution into arena memory, with optional fused activation
     and optional row-band streaming."""
@@ -530,23 +545,24 @@ class _ConvStep(_Step):
         if self.bias_r is not None:
             np.add(out, self.bias_r, out=out)
         if self.activation == "relu":
-            np.greater(out, 0, out=self.mask)
-            np.multiply(out, self.mask, out=out)
+            _relu(out, mask=self.mask, out=out)
         elif self.activation == "tanh":
             np.tanh(out, out=out)
         elif self.activation == "sigmoid":
-            np.negative(out, out=out)
-            np.exp(out, out=out)
-            np.add(out, 1.0, out=out)
-            np.divide(1.0, out, out=out)
+            _sigmoid(out, out=out)
 
 
-class _MaxPoolStep(_Step):
-    kind = "max_pool"
+class _PoolStep(_Step):
+    """max/avg pooling: im2col into arena columns, then reduce each window.
+
+    Max pooling also owns an ``argmax_ref`` scratch, replaying the eager
+    argmax + ``take_along_axis`` gather.
+    """
 
     def __init__(self, backend, node: _Node, in_index: int, out_index: int,
-                 cols_ref: BufferRef, argmax_ref: BufferRef,
-                 out_ref: BufferRef):
+                 cols_ref: BufferRef, out_ref: BufferRef,
+                 argmax_ref: Optional[BufferRef]):
+        self.kind = "max_pool" if node.op_name == "max_pool2d" else "avg_pool"
         self.backend = backend
         self.op_name = node.op_name
         self.layer = node.layer
@@ -565,42 +581,8 @@ class _MaxPoolStep(_Step):
         self.cols = cols
         self.cols4 = cols.reshape(n, cols.shape[1] // window, window,
                                   cols.shape[2])
-        self.argmax = arena.array(self.argmax_ref)
-        self.out4 = arena.array(self.out_ref)
-        regs[self.out_index] = self.out4
-
-    def run(self, regs):
-        x = regs[self.in_index]
-        self.backend.im2col_out(x, self.kernel, self.stride, (0, 0),
-                                out=self.cols)
-        np.argmax(self.cols4, axis=2, out=self.argmax)
-        taken = self.backend.take_along_axis(
-            self.cols4, self.argmax[:, :, None, :], axis=2)
-        np.copyto(self.out4, taken.reshape(self.out4.shape))
-
-
-class _AvgPoolStep(_Step):
-    kind = "avg_pool"
-
-    def __init__(self, backend, node: _Node, in_index: int, out_index: int,
-                 cols_ref: BufferRef, out_ref: BufferRef):
-        self.backend = backend
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.cols_ref = cols_ref
-        self.out_ref = out_ref
-        self.kernel = node.kwargs["kernel"]
-        self.stride = node.kwargs["stride"]
-
-    def bind(self, arena, regs):
-        cols = arena.array(self.cols_ref)
-        n = cols.shape[0]
-        window = self.kernel[0] * self.kernel[1]
-        self.cols = cols
-        self.cols4 = cols.reshape(n, cols.shape[1] // window, window,
-                                  cols.shape[2])
+        self.argmax = (arena.array(self.argmax_ref)
+                       if self.argmax_ref is not None else None)
         self.out4 = arena.array(self.out_ref)
         self.out3 = self.out4.reshape(self.out4.shape[0], self.out4.shape[1],
                                       -1)
@@ -610,49 +592,13 @@ class _AvgPoolStep(_Step):
         x = regs[self.in_index]
         self.backend.im2col_out(x, self.kernel, self.stride, (0, 0),
                                 out=self.cols)
-        np.mean(self.cols4, axis=2, out=self.out3)
-
-
-class _MatmulStep(_Step):
-    kind = "matmul"
-
-    def __init__(self, backend, node: _Node, in_indices, out_index,
-                 out_ref: BufferRef):
-        self.backend = backend
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.a_index, self.b_index = in_indices
-        self.out_index = out_index
-        self.out_ref = out_ref
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        self.backend.matmul_out(regs[self.a_index], regs[self.b_index],
-                                out=self.out)
-
-
-class _ConcatStep(_Step):
-    kind = "concat"
-
-    def __init__(self, node: _Node, in_indices, out_index,
-                 out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_indices = in_indices
-        self.out_index = out_index
-        self.out_ref = out_ref
-        self.axis = node.kwargs["axis"]
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        np.concatenate([regs[i] for i in self.in_indices], axis=self.axis,
-                       out=self.out)
+        if self.argmax is None:
+            np.mean(self.cols4, axis=2, out=self.out3)
+            return
+        np.argmax(self.cols4, axis=2, out=self.argmax)
+        taken = self.backend.take_along_axis(
+            self.cols4, self.argmax[:, :, None, :], axis=2)
+        np.copyto(self.out4, taken.reshape(self.out4.shape))
 
 
 class _PadStep(_Step):
@@ -681,122 +627,34 @@ class _PadStep(_Step):
         self.out[self.center] = regs[self.in_index]
 
 
-class _EltwiseStep(_Step):
-    """One numpy ufunc with an ``out=`` destination in the arena."""
+class _OutStep(_Step):
+    """One kernel writing into an arena buffer: ``kernel(*inputs, out=buf)``.
 
-    kind = "eltwise"
+    ``kind`` names the op family (stats and the ``repro-plan/1`` layout);
+    a relu step also owns the bool ``mask_ref`` scratch :func:`_relu` needs.
+    """
 
-    def __init__(self, node: _Node, ufunc, in_indices, out_index,
-                 out_ref: BufferRef):
+    def __init__(self, kind: str, kernel, node: _Node, in_indices,
+                 out_index: int, out_ref: BufferRef,
+                 mask_ref: Optional[BufferRef] = None):
+        self.kind = kind
+        self.kernel = kernel
         self.op_name = node.op_name
         self.layer = node.layer
-        self.ufunc = ufunc
         self.in_indices = tuple(in_indices)
         self.out_index = out_index
         self.out_ref = out_ref
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        self.ufunc(*[regs[i] for i in self.in_indices], out=self.out)
-
-
-class _ReluStep(_Step):
-    """Standalone relu replaying the eager ``a * (a > 0)`` bit pattern."""
-
-    kind = "relu"
-
-    def __init__(self, node: _Node, in_index, out_index,
-                 mask_ref: BufferRef, out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
         self.mask_ref = mask_ref
-        self.out_ref = out_ref
-
-    def bind(self, arena, regs):
-        self.mask = arena.array(self.mask_ref)
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        a = regs[self.in_index]
-        np.greater(a, 0, out=self.mask)
-        np.multiply(a, self.mask, out=self.out)
-
-
-class _SigmoidStep(_Step):
-    kind = "sigmoid"
-
-    def __init__(self, node: _Node, in_index, out_index, out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.out_ref = out_ref
 
     def bind(self, arena, regs):
         self.out = arena.array(self.out_ref)
+        if self.mask_ref is not None:
+            self.kernel = partial(self.kernel,
+                                  mask=arena.array(self.mask_ref))
         regs[self.out_index] = self.out
 
     def run(self, regs):
-        out = self.out
-        np.negative(regs[self.in_index], out=out)
-        np.exp(out, out=out)
-        np.add(out, 1.0, out=out)
-        np.divide(1.0, out, out=out)
-
-
-class _ClipStep(_Step):
-    kind = "clip"
-
-    def __init__(self, node: _Node, in_index, out_index, out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.out_ref = out_ref
-        self.low = node.kwargs["low"]
-        self.high = node.kwargs["high"]
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        np.clip(regs[self.in_index], self.low, self.high, out=self.out)
-
-
-class _ReduceStep(_Step):
-    """max reduction into the arena.
-
-    Only ``max`` lowers here: it is exact (no rounding), so the reduction
-    order an ``out=`` destination induces cannot change bits.  ``sum``
-    with ``out=`` skips numpy's pairwise accumulation and *does* change
-    bits, so sum reductions stay on the generic path.
-    """
-
-    kind = "reduce"
-
-    def __init__(self, node: _Node, in_index, out_index, out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.out_ref = out_ref
-        self.axis = node.kwargs["axis"]
-        self.keepdims = node.kwargs["keepdims"]
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        np.max(regs[self.in_index], axis=self.axis, keepdims=self.keepdims,
-               out=self.out)
+        self.kernel(*[regs[i] for i in self.in_indices], out=self.out)
 
 
 # --------------------------------------------------------------------------- #
@@ -807,6 +665,42 @@ _UNARY_UFUNCS = {"neg": np.negative, "exp": np.exp, "log": np.log,
                  "abs": np.absolute, "tanh": np.tanh}
 _BINARY_UFUNCS = {"add": np.add, "mul": np.multiply, "div": np.true_divide,
                   "maximum": np.maximum}
+
+
+def _out_kernel(node: _Node, backend: Backend):
+    """``(kind, kernel)`` for an op that lowers to an :class:`_OutStep`.
+
+    Returns None for ops without a bit-exact ``out=`` form; they stay on
+    the generic path.
+    """
+    name, kwargs = node.op_name, node.kwargs
+    if name in _BINARY_UFUNCS and len(node.inputs) == 2:
+        return "eltwise", _BINARY_UFUNCS[name]
+    if name in _UNARY_UFUNCS and len(node.inputs) == 1:
+        return "eltwise", _UNARY_UFUNCS[name]
+    if name == "matmul" and all(len(v.shape) >= 2 for v in node.inputs):
+        # Looked up per call so backend overrides and wrappers are seen.
+        return "matmul", lambda a, b, out: backend.matmul_out(a, b, out=out)
+    if name == "concatenate":
+        axis = kwargs["axis"]
+        return "concat", lambda *arrays, out: np.concatenate(
+            arrays, axis=axis, out=out)
+    if name == "relu":
+        return "relu", _relu
+    if name == "sigmoid":
+        return "sigmoid", _sigmoid
+    if name == "clip":
+        low, high = kwargs["low"], kwargs["high"]
+        return "clip", lambda a, out: np.clip(a, low, high, out=out)
+    if name == "max":
+        # Only max reduces into the arena: it is exact, so the reduction
+        # order an ``out=`` destination induces cannot change bits.  ``sum``
+        # with ``out=`` skips numpy's pairwise accumulation and *does*
+        # change bits, so sum reductions stay on the generic path.
+        axis, keepdims = kwargs["axis"], kwargs["keepdims"]
+        return "reduce", lambda a, out: np.max(
+            a, axis=axis, keepdims=keepdims, out=out)
+    return None
 
 
 @dataclass
@@ -873,7 +767,6 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
     arena = BufferArena()
     live: Dict[_Value, BufferRef] = {}
     steps: List[_Step] = []
-    specialize = backend.supports_inplace
 
     def reserve_out(value: _Value) -> BufferRef:
         ref = arena.reserve(value.shape, value.dtype)
@@ -889,7 +782,7 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
 
         if name in _VIEW_OPS:
             step = _ViewStep(node, in_indices[0], out_index)
-        elif specialize and name == "conv2d":
+        elif name == "conv2d":
             weight = node.inputs[1]
             bias = node.inputs[2] if len(node.inputs) > 2 else None
             if _is_const(weight) and (bias is None or _is_const(bias)):
@@ -943,18 +836,7 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
                 step = _ConvStep(backend, node, in_indices[0], out_index,
                                  cols_ref, reserve_out(node.out), mask_ref,
                                  padded, center, stream)
-        elif specialize and name == "max_pool2d":
-            nb, c = node.inputs[0].shape[:2]
-            kernel = node.kwargs["kernel"]
-            oh, ow = node.out.shape[2], node.out.shape[3]
-            window = kernel[0] * kernel[1]
-            cols_ref = arena.reserve((nb, c * window, oh * ow),
-                                     node.inputs[0].dtype)
-            argmax_ref = arena.reserve((nb, c, oh * ow), np.intp)
-            scratch += [cols_ref, argmax_ref]
-            step = _MaxPoolStep(backend, node, in_indices[0], out_index,
-                                cols_ref, argmax_ref, reserve_out(node.out))
-        elif specialize and name == "avg_pool2d":
+        elif name in ("max_pool2d", "avg_pool2d"):
             nb, c = node.inputs[0].shape[:2]
             kernel = node.kwargs["kernel"]
             oh, ow = node.out.shape[2], node.out.shape[3]
@@ -962,38 +844,25 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
             cols_ref = arena.reserve((nb, c * window, oh * ow),
                                      node.inputs[0].dtype)
             scratch.append(cols_ref)
-            step = _AvgPoolStep(backend, node, in_indices[0], out_index,
-                                cols_ref, reserve_out(node.out))
-        elif specialize and name == "matmul":
-            if all(len(v.shape) >= 2 for v in node.inputs):
-                step = _MatmulStep(backend, node, in_indices, out_index,
-                                   reserve_out(node.out))
-        elif specialize and name == "concatenate":
-            step = _ConcatStep(node, in_indices, out_index,
-                               reserve_out(node.out))
-        elif specialize and name == "pad2d":
+            argmax_ref = None
+            if name == "max_pool2d":
+                argmax_ref = arena.reserve((nb, c, oh * ow), np.intp)
+                scratch.append(argmax_ref)
+            step = _PoolStep(backend, node, in_indices[0], out_index,
+                             cols_ref, reserve_out(node.out), argmax_ref)
+        elif name == "pad2d":
             out_array = arena.zeros_array(node.out.shape, node.out.dtype)
             step = _PadStep(node, in_indices[0], out_index, out_array)
-        elif specialize and name in _BINARY_UFUNCS and len(in_indices) == 2:
-            step = _EltwiseStep(node, _BINARY_UFUNCS[name], in_indices,
-                                out_index, reserve_out(node.out))
-        elif specialize and name in _UNARY_UFUNCS and len(in_indices) == 1:
-            step = _EltwiseStep(node, _UNARY_UFUNCS[name], in_indices,
-                                out_index, reserve_out(node.out))
-        elif specialize and name == "relu":
-            mask_ref = arena.reserve(node.inputs[0].shape, np.bool_)
-            scratch.append(mask_ref)
-            step = _ReluStep(node, in_indices[0], out_index, mask_ref,
-                             reserve_out(node.out))
-        elif specialize and name == "sigmoid":
-            step = _SigmoidStep(node, in_indices[0], out_index,
-                                reserve_out(node.out))
-        elif specialize and name == "clip":
-            step = _ClipStep(node, in_indices[0], out_index,
-                             reserve_out(node.out))
-        elif specialize and name == "max":
-            step = _ReduceStep(node, in_indices[0], out_index,
-                               reserve_out(node.out))
+        else:
+            lowered = _out_kernel(node, backend)
+            if lowered is not None:
+                kind, kernel = lowered
+                mask_ref = None
+                if kind == "relu":
+                    mask_ref = arena.reserve(node.inputs[0].shape, np.bool_)
+                    scratch.append(mask_ref)
+                step = _OutStep(kind, kernel, node, in_indices, out_index,
+                                reserve_out(node.out), mask_ref)
 
         if step is None:
             step = _GenericStep(node, in_indices, out_index)
@@ -1255,15 +1124,13 @@ def _trace_graph(model: Module, backend: Backend, batch: int,
     return _build_graph(tracer.records, dummy.data, out.data)
 
 
-def _optimize_graph(graph: _Graph, backend: Backend, *, fold_bn: bool,
-                    elide_dead: bool,
+def _optimize_graph(graph: _Graph, *, fold_bn: bool, elide_dead: bool,
                     stats: Optional[PlanStats] = None) -> _Graph:
     """Run the standard pass pipeline in place (deterministic per graph)."""
     frozen = _freeze_consts(graph)
     folded = _fold_affine_chains(graph) if fold_bn else 0
     elided = _elide_dead_filters(graph) if elide_dead else 0
-    if backend.supports_inplace:
-        _fuse_activations(graph)
+    _fuse_activations(graph)
     removed = _eliminate_dead_code(graph)
     if stats is not None:
         stats.frozen_consts = frozen
@@ -1305,9 +1172,7 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         together with the matching input channels of the consuming conv.
     backend:
         Backend (or registered backend name) to compile against; defaults
-        to the active backend.  Backends without verified in-place kernels
-        (``supports_inplace`` false) lower every op to its generic
-        forward, trading the arena wins for portability.
+        to the active backend.
     """
     if isinstance(backend, str):
         backend = get_backend(backend)
@@ -1333,11 +1198,11 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         finally:
             if was_training:
                 model.train()
-        _optimize_graph(graph, backend, fold_bn=fold_bn,
-                        elide_dead=elide_dead, stats=stats)
+        _optimize_graph(graph, fold_bn=fold_bn, elide_dead=elide_dead,
+                        stats=stats)
         if graph_next is not None:
             try:
-                _optimize_graph(graph_next, backend, fold_bn=fold_bn,
+                _optimize_graph(graph_next, fold_bn=fold_bn,
                                 elide_dead=elide_dead)
             except Exception:
                 graph_next = None

@@ -27,6 +27,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from ..nn.backend import conv_windows
+
 #: Never shrink a band below this many output rows: extremely narrow GEMMs
 #: waste the whole point of the lowering (and amplify the numerical
 #: difference between banded and unbanded contraction paths).
@@ -89,25 +91,14 @@ class StreamedConv:
     def run(self, backend, x: np.ndarray, padded: np.ndarray,
             cols: np.ndarray, w_mat: np.ndarray, out3d: np.ndarray) -> None:
         """One full banded convolution: fill ``out3d`` slice by slice."""
-        n, c = x.shape[0], x.shape[1]
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        out_h, out_w = self.out_hw
         ph = (padded.shape[2] - x.shape[2]) // 2
         pw = (padded.shape[3] - x.shape[3]) // 2
         if ph or pw:
             padded[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]] = x
-            source = padded
-        else:
-            source = x
-        strides = (
-            source.strides[0], source.strides[1], source.strides[2],
-            source.strides[3], source.strides[2] * sh, source.strides[3] * sw,
-        )
-        shape = (n, c, kh, kw, out_h, out_w)
-        windows = np.lib.stride_tricks.as_strided(
-            source, shape=shape, strides=strides)
-        for r0, r1 in iter_bands(out_h, self.band_rows):
+            x = padded
+        windows = conv_windows(x, self.kernel, self.stride, (0, 0))
+        n, c, kh, kw, _, out_w = windows.shape
+        for r0, r1 in iter_bands(self.out_hw[0], self.band_rows):
             rows = r1 - r0
             band_cols = cols[:, :, :rows * out_w]
             np.copyto(

@@ -13,8 +13,9 @@ The default is :class:`NumpyBackend` in float64 (the historical behaviour
 of the library), but alternative backends plug in by name through
 :func:`register_backend` — e.g. the registered ``"numpy32"`` backend runs
 the identical numpy code with a float32 default dtype (roughly half the
-memory traffic on the im2col hot path), and a future array-API / GPU
-backend only has to implement this surface.
+memory traffic on the im2col hot path).  A custom backend subclasses
+:class:`NumpyBackend` and overrides only the kernels it changes; compiled
+plans always call its ``out=`` kernels, with no allocating fallback.
 
 The process-wide default dtype can be selected without touching code via
 the ``REPRO_DEFAULT_DTYPE`` environment variable (e.g.
@@ -35,130 +36,43 @@ import numpy as np
 BackendLike = Union[str, "Backend"]
 
 
-class Backend:
-    """Protocol for an array-execution backend.
+def _floating_dtype(dtype) -> np.dtype:
+    """``np.dtype(dtype)``, rejecting non-floating kinds.
 
-    Concrete backends subclass this and implement every primitive in terms
-    of their array library.  The base class only manages the default dtype
-    (shared by all implementations) and documents the required surface.
+    Tensors built from python data take the backend's default dtype, and
+    the engine's gradients, initializers and plans all assume it floats.
+    """
+    resolved = np.dtype(dtype)
+    if resolved.kind != "f":
+        raise ValueError(f"{resolved} is not a floating dtype")
+    return resolved
+
+
+class Backend:
+    """Base type of every array-execution backend.
+
+    It only owns the registry ``name`` and the default floating dtype;
+    :func:`get_backend` accepts any instance of it.  The array surface
+    lives on :class:`NumpyBackend`, which custom backends subclass,
+    overriding just the kernels they change.
     """
 
     #: Registry key; subclasses override.
     name: str = "abstract"
 
-    #: Whether numpy-style in-place ufuncs (``out=`` kwargs, ``+=`` on the
-    #: backend's arrays) are valid and bit-identical to their out-of-place
-    #: forms.  Compiled inference plans (:mod:`repro.deploy`) only emit
-    #: buffer-reusing kernels when this is true; otherwise every step falls
-    #: back to the pure registered-op forward.
-    supports_inplace: bool = False
-
     def __init__(self, dtype=np.float64):
-        self._default_dtype = np.dtype(dtype)
+        self._default_dtype = _floating_dtype(dtype)
 
-    # ------------------------------------------------------------------ #
-    # Default dtype
-    # ------------------------------------------------------------------ #
     @property
     def default_dtype(self) -> np.dtype:
         """Dtype used when tensors are constructed from python data."""
         return self._default_dtype
 
-    def set_default_dtype(self, dtype) -> None:
-        self._default_dtype = np.dtype(dtype)
-
     def with_dtype(self, dtype) -> "Backend":
         """A shallow copy of this backend with a different default dtype."""
         clone = copy.copy(self)
-        clone._default_dtype = np.dtype(dtype)
+        clone._default_dtype = _floating_dtype(dtype)
         return clone
-
-    # ------------------------------------------------------------------ #
-    # Array creation
-    # ------------------------------------------------------------------ #
-    def asarray(self, data, dtype=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def zeros(self, shape, dtype=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def ones(self, shape, dtype=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def zeros_like(self, array) -> np.ndarray:
-        raise NotImplementedError
-
-    def randn(self, shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Linear algebra
-    # ------------------------------------------------------------------ #
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Optional ``out=`` fast paths
-    # ------------------------------------------------------------------ #
-    # The compiled-plan serving path (:mod:`repro.deploy`) writes results
-    # into preallocated arena buffers.  The defaults below are *pure
-    # fallbacks* — compute with the allocating primitive, then copy — so
-    # any backend works unmodified; backends that can write in place
-    # override them (see :class:`NumpyBackend`) and skip the copy.
-    def matmul_out(self, a: np.ndarray, b: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-        out[...] = self.matmul(a, b)
-        return out
-
-    def einsum_out(self, subscripts: str, *operands: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-        out[...] = self.einsum(subscripts, *operands)
-        return out
-
-    def im2col_out(self, x: np.ndarray, kernel: Tuple[int, int],
-                   stride: Tuple[int, int], padding: Tuple[int, int],
-                   out: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
-        """Like :meth:`im2col` but gathering into ``out`` (same shape)."""
-        cols, out_hw = self.im2col(x, kernel, stride, padding)
-        out[...] = cols
-        return out, out_hw
-
-    # ------------------------------------------------------------------ #
-    # Indexed gather / scatter (pooling) and layout control
-    # ------------------------------------------------------------------ #
-    # Numpy implementations are correct for any array-protocol backend, so
-    # these default instead of raising: subclasses that do not manage their
-    # own memory layout inherit working pooling/deploy paths for free.
-    def take_along_axis(self, array: np.ndarray, indices: np.ndarray,
-                        axis: int) -> np.ndarray:
-        return np.take_along_axis(array, indices, axis=axis)
-
-    def put_along_axis(self, array: np.ndarray, indices: np.ndarray,
-                       values: np.ndarray, axis: int) -> None:
-        np.put_along_axis(array, indices, values, axis=axis)
-
-    def broadcast_to(self, array: np.ndarray, shape) -> np.ndarray:
-        return np.broadcast_to(array, shape)
-
-    def ascontiguousarray(self, array: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(array)
-
-    # ------------------------------------------------------------------ #
-    # Convolution lowering
-    # ------------------------------------------------------------------ #
-    def im2col(self, x: np.ndarray, kernel: Tuple[int, int],
-               stride: Tuple[int, int], padding: Tuple[int, int]
-               ) -> Tuple[np.ndarray, Tuple[int, int]]:
-        raise NotImplementedError
-
-    def col2im(self, cols: np.ndarray, input_shape: Tuple[int, int, int, int],
-               kernel: Tuple[int, int], stride: Tuple[int, int],
-               padding: Tuple[int, int], output_size: Tuple[int, int]
-               ) -> np.ndarray:
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, dtype={self.default_dtype})"
@@ -169,11 +83,37 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def conv_windows(x: np.ndarray, kernel: Tuple[int, int],
+                 stride: Tuple[int, int], padding: Tuple[int, int]
+                 ) -> np.ndarray:
+    """Sliding-window view ``(N, C, kh, kw, out_h, out_w)`` of ``x``.
+
+    Zero-pads ``x`` first when ``padding`` is non-zero; otherwise the
+    view aliases ``x`` without copying.  Every im2col gather (eager,
+    plan and row-banded) copies out of this one view.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    out_h = conv_output_size(h, kh, sh, ph)
+    out_w = conv_output_size(w, kw, sw, pw)
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    strides = x.strides + (x.strides[2] * sh, x.strides[3] * sw)
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kh, kw, out_h, out_w), strides=strides)
+
+
 class NumpyBackend(Backend):
-    """Reference backend: plain numpy, einsum-lowered convolutions."""
+    """Reference backend: plain numpy, einsum-lowered convolutions.
+
+    Every kernel that compiled plans call takes an ``out=`` destination
+    (``matmul_out`` / ``einsum_out`` / ``im2col_out``); there is no
+    allocating fallback.
+    """
 
     name = "numpy"
-    supports_inplace = True
 
     # -- creation ------------------------------------------------------- #
     def asarray(self, data, dtype=None) -> np.ndarray:
@@ -199,7 +139,7 @@ class NumpyBackend(Backend):
     def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
         return np.einsum(subscripts, *operands, optimize=True)
 
-    # -- out= fast paths ------------------------------------------------- #
+    # -- out= kernels (compiled plans) ----------------------------------- #
     def matmul_out(self, a: np.ndarray, b: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
         return np.matmul(a, b, out=out)
@@ -211,24 +151,12 @@ class NumpyBackend(Backend):
     def im2col_out(self, x: np.ndarray, kernel: Tuple[int, int],
                    stride: Tuple[int, int], padding: Tuple[int, int],
                    out: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
-        n, c, h, w = x.shape
-        kh, kw = kernel
-        sh, sw = stride
-        ph, pw = padding
-        out_h = conv_output_size(h, kh, sh, ph)
-        out_w = conv_output_size(w, kw, sw, pw)
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        strides = (
-            x.strides[0], x.strides[1], x.strides[2], x.strides[3],
-            x.strides[2] * sh, x.strides[3] * sw,
-        )
-        shape = (n, c, kh, kw, out_h, out_w)
-        windows = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+        """Like :meth:`im2col` but gathering into ``out`` (same shape)."""
+        windows = conv_windows(x, kernel, stride, padding)
         # ``out`` is contiguous, so viewing it in window layout and copying
         # produces exactly the bytes ``ascontiguousarray`` would have.
-        np.copyto(out.reshape(shape), windows)
-        return out, (out_h, out_w)
+        np.copyto(out.reshape(windows.shape), windows)
+        return out, windows.shape[4:]
 
     # -- indexed gather / scatter ---------------------------------------- #
     def take_along_axis(self, array: np.ndarray, indices: np.ndarray,
@@ -254,28 +182,8 @@ class NumpyBackend(Backend):
         Returns ``(cols, (out_h, out_w))`` with ``cols`` of shape
         ``(N, C * kh * kw, out_h * out_w)``.
         """
-        n, c, h, w = x.shape
-        kh, kw = kernel
-        sh, sw = stride
-        ph, pw = padding
-        out_h = conv_output_size(h, kh, sh, ph)
-        out_w = conv_output_size(w, kw, sw, pw)
-
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-        # Gather sliding windows with as_strided: result is
-        # (N, C, kh, kw, out_h, out_w) without copying.
-        strides = (
-            x.strides[0],
-            x.strides[1],
-            x.strides[2],
-            x.strides[3],
-            x.strides[2] * sh,
-            x.strides[3] * sw,
-        )
-        shape = (n, c, kh, kw, out_h, out_w)
-        windows = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+        windows = conv_windows(x, kernel, stride, padding)
+        n, c, kh, kw, out_h, out_w = windows.shape
         cols = windows.reshape(n, c * kh * kw, out_h * out_w)
         return np.ascontiguousarray(cols), (out_h, out_w)
 
@@ -350,20 +258,15 @@ def _initial_backend() -> Backend:
     env = os.environ.get("REPRO_DEFAULT_DTYPE", "").strip()
     if not env:
         return NumpyBackend(np.float64)
-    # np.dtype raises an opaque TypeError for a typo'd value; since this runs
-    # at import time, translate it into an error naming the variable and the
-    # accepted values instead of letting `import repro` die mysteriously.
+    # This runs at import time, so a bad value must fail with an error
+    # naming the variable, not numpy's bare dtype error.
     try:
-        dtype = np.dtype(env)
-    except TypeError as exc:
+        return NumpyBackend(env)
+    except (TypeError, ValueError) as exc:
         raise ValueError(
-            f"invalid REPRO_DEFAULT_DTYPE value {env!r}: expected a floating "
-            "numpy dtype name such as 'float32' or 'float64'") from exc
-    if dtype.kind != "f":
-        raise ValueError(
-            f"invalid REPRO_DEFAULT_DTYPE value {env!r}: {dtype} is not a "
-            "floating dtype; use 'float32' or 'float64'")
-    return NumpyBackend(dtype)
+            f"invalid REPRO_DEFAULT_DTYPE value {env!r} ({exc}): expected a "
+            "floating numpy dtype name such as 'float32' or 'float64'"
+        ) from exc
 
 
 #: Process-wide default backend, targeted by :func:`set_backend`.

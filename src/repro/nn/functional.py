@@ -65,13 +65,9 @@ def _conv2d_fwd(x, weight, *bias, stride, padding):
     # same one the compiled-plan arena buffers use).
     out = backend.ascontiguousarray(out.reshape(n, co, out_h, out_w))
     if bias:
-        # The einsum output is fresh and unshared, so backends that allow
-        # in-place ufuncs can add the bias without materializing a second
-        # full activation array.
-        if backend.supports_inplace:
-            out += bias[0].reshape(1, co, 1, 1)
-        else:
-            out = out + bias[0].reshape(1, co, 1, 1)
+        # The einsum output is fresh and unshared, so the bias is added in
+        # place instead of materializing a second full activation array.
+        out += bias[0].reshape(1, co, 1, 1)
     ctx = (cols, w_mat, x.shape, weight.shape, (kh, kw), stride, padding,
            (out_h, out_w), bias[0].shape if bias else None)
     return out, ctx
@@ -145,14 +141,6 @@ def _avg_pool2d_bwd(ctx, grad, needs):
 _CONV2D = register_op("conv2d", _conv2d_fwd, _conv2d_bwd)
 _MAX_POOL2D = register_op("max_pool2d", _max_pool2d_fwd, _max_pool2d_bwd)
 _AVG_POOL2D = register_op("avg_pool2d", _avg_pool2d_fwd, _avg_pool2d_bwd)
-
-#: Raw forward kernels, exposed for tape-free consumers.  A compiled
-#: inference plan (:mod:`repro.deploy`) executes these directly on arrays —
-#: no Tensor wrapping, no tape, no context retention; each returns
-#: ``(out_array, ctx)`` and the caller drops ``ctx``.
-conv2d_fwd = _conv2d_fwd
-max_pool2d_fwd = _max_pool2d_fwd
-avg_pool2d_fwd = _avg_pool2d_fwd
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,

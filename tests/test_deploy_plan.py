@@ -18,6 +18,7 @@ from repro.core.deploy import CompressedConv2d, compress_model
 from repro.deploy import (
     MIN_BAND_ROWS,
     BufferArena,
+    InferencePlan,
     band_overrun,
     band_plan,
     compile,
@@ -26,8 +27,17 @@ from repro.deploy import (
 from repro.models import available_models, bench_input_shape, build_model
 from repro.nn import Tensor, no_grad
 from repro.nn.backend import NumpyBackend, get_backend, use_backend
-from repro.nn.layers import BatchNorm2d, Conv2d, Linear, MaxPool2d, ReLU
-from repro.nn.module import Sequential
+from repro.nn.layers import (
+    AvgPool2d,
+    BatchNorm2d,
+    Conv2d,
+    Linear,
+    MaxPool2d,
+    ReLU,
+    Sigmoid,
+    Tanh,
+)
+from repro.nn.module import Module, Sequential
 from repro.nn.profiler import profile_inference
 
 
@@ -327,6 +337,18 @@ class _CountingBackend(NumpyBackend):
         self._bump("zeros")
         return super().zeros(*args, **kwargs)
 
+    def im2col_out(self, *args, **kwargs):
+        self._bump("im2col_out")
+        return super().im2col_out(*args, **kwargs)
+
+    def einsum_out(self, *args, **kwargs):
+        self._bump("einsum_out")
+        return super().einsum_out(*args, **kwargs)
+
+    def matmul_out(self, *args, **kwargs):
+        self._bump("matmul_out")
+        return super().matmul_out(*args, **kwargs)
+
 
 def test_pooling_routes_through_backend():
     backend = _CountingBackend()
@@ -344,6 +366,21 @@ def test_pooling_routes_through_backend():
     assert backend.calls.get("put_along_axis", 0) >= 1
     # avg-pool backward spreads grads via broadcast_to
     assert backend.calls.get("broadcast_to", 0) >= 1
+
+
+def test_plan_kernels_route_through_backend():
+    # Plan conv/pool steps gather via im2col_out and contract via
+    # einsum_out, and the dense head runs matmul_out: all on the backend
+    # the plan was compiled under, so subclass overrides are honoured.
+    backend = _CountingBackend()
+    model = build_model("lenet", rng=np.random.default_rng(0))
+    with use_backend(backend):
+        plan = compile(model, (1, 16, 16), batch=1)
+    x = np.random.default_rng(1).standard_normal((1, 1, 16, 16))
+    backend.calls.clear()
+    plan(x.astype(plan.input_dtype))
+    for kernel in ("im2col_out", "einsum_out", "matmul_out"):
+        assert backend.calls.get(kernel, 0) >= 1, kernel
 
 
 # --------------------------------------------------------------------------- #
@@ -382,3 +419,40 @@ def test_linear_head_lowers_to_specialized_matmul():
                    (1, 16, 16), batch=2)
     assert plan.stats.step_counts.get("matmul", 0) >= 1
     assert plan.stats.specialized > plan.stats.generic
+
+
+class _EveryStepKind(Module):
+    """conv+tanh, conv+sigmoid and avg pool, then one op per out= kind."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv1 = Conv2d(2, 4, 3, padding=1, rng=rng)
+        self.act1 = Tanh()
+        self.conv2 = Conv2d(4, 4, 3, padding=1, rng=rng)
+        self.act2 = Sigmoid()
+        self.pool = AvgPool2d(2)
+
+    def forward(self, x):
+        y = self.pool(self.act2(self.conv2(self.act1(self.conv1(x)))))
+        y = y.sigmoid().clip(0.55, 0.7)
+        # Mixed signs, so relu masks some elements and keeps others.
+        z = (y.abs().exp() - 1.8).maximum(y.log()).relu()
+        return z.max(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("backend", ["numpy32", "numpy64"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_every_out_step_kind_is_bit_identical(backend, batch):
+    with use_backend(backend):
+        model = _EveryStepKind(np.random.default_rng(0))
+    out, ref, plan = _compile_and_run(model, (2, 8, 8), batch, backend)
+    kinds = set(plan.stats.step_counts)
+    assert {"conv", "avg_pool", "sigmoid", "clip", "eltwise", "relu",
+            "reduce"} <= kinds
+    assert {s.activation for s in plan.steps if s.kind == "conv"} == {
+        "tanh", "sigmoid"}
+    assert out.tobytes() == ref.tobytes()
+    x = np.random.default_rng(0).standard_normal((batch, 2, 8, 8))
+    loaded = InferencePlan.from_dict(plan.to_dict())
+    assert loaded.stats.step_counts == plan.stats.step_counts
+    assert loaded(x.astype(plan.input_dtype)).data.tobytes() == out.tobytes()

@@ -83,6 +83,36 @@ class TestBackendRegistry:
             assert current_backend().default_dtype == np.float32
             assert nn.zeros((3,)).dtype == np.float32
 
+    def test_non_floating_default_dtype_rejected(self):
+        # REPRO_DEFAULT_DTYPE=int32 and CompressionSpec(dtype="int8") always
+        # raised; every other way of setting a default dtype now does too.
+        from repro.api.digests import payload_digest
+        from repro.deploy import InferencePlan, compile
+        from repro.nn.backend import ExecutionState, set_backend
+
+        previous = current_backend()
+        with pytest.raises(ValueError, match="floating"):
+            with use_backend(dtype="int32"):
+                pass
+        with pytest.raises(ValueError, match="floating"):
+            nn.set_default_dtype("int64")
+        with pytest.raises(ValueError, match="floating"):
+            set_backend("numpy", dtype="int8")
+        with pytest.raises(ValueError, match="floating"):
+            NumpyBackend(np.int16)
+        with pytest.raises(ValueError, match="floating"):
+            ExecutionState(backend="numpy", dtype="int32").resolve()
+        assert current_backend() is previous
+
+        model = lenet(num_classes=4, in_channels=1, width=8,
+                      rng=np.random.default_rng(0))
+        payload = compile(model, (1, 12, 12)).to_dict()
+        payload["backend_dtype"] = "int32"
+        payload["digest"] = payload_digest(
+            {key: value for key, value in payload.items() if key != "digest"})
+        with pytest.raises(ValueError, match="floating"):
+            InferencePlan.from_dict(payload)
+
     def test_custom_backend_plugs_in_by_name(self):
         class TracingBackend(NumpyBackend):
             name = "tracing"
