@@ -12,12 +12,15 @@ submission arrives again:
   data recipe), combined into one SHA-256.
 * :class:`FileReportCache` — the persistent store: one atomic
   ``repro-cache-entry/1`` JSON file per report (digest-guarded; a corrupt,
-  truncated or unknown-version entry is a warning and a *miss*, never a
-  crash) plus an ``.npz`` checkpoint of the finalized compressed model's
-  parameters.  The root defaults to ``~/.cache/repro`` and is overridden by
-  the ``REPRO_CACHE_DIR`` environment variable.
-* :class:`MemoryReportCache` — the same contract in a dict, for tests and
-  single-process warm layers.
+  truncated, non-UTF-8 or unknown-version entry is a warning and a *miss*,
+  never a crash), an ``.npz`` checkpoint of the finalized compressed
+  model's parameters, and a ``seq`` file holding the store-wide recency
+  counter, so a hit costs O(1) whatever the store's size.  The root
+  defaults to ``~/.cache/repro`` and is overridden by the
+  ``REPRO_CACHE_DIR`` environment variable.
+* :class:`MemoryReportCache` — the same contract over one dict of bytes,
+  through the same JSON and npz codecs, for tests and single-process warm
+  layers.
 * Warm starts — :meth:`ReportCache.nearest_checkpoint` finds the entry with
   the same (method, model, data) whose spec payload is *closest* to a new
   near-miss submission, so its checkpoint can seed fine-tuning instead of
@@ -41,13 +44,16 @@ Maintenance from the command line::
 
 from __future__ import annotations
 
+import fcntl
+import io
 import json
 import os
 import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -197,17 +203,52 @@ def spec_distance(a: Mapping[str, Any], b: Mapping[str, Any]) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# The store contract + shared entry codec
+# Byte codecs shared by every store
+# --------------------------------------------------------------------------- #
+#: The artifact kinds every store holds, with their on-disk file suffixes.
+_KINDS = {"entries": ".json", "checkpoints": ".npz", "plans": ".json"}
+
+
+def _dump(payload: Mapping[str, Any]) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _parse(data: Union[bytes, str], what: str) -> Any:
+    """UTF-8 + JSON decode; any failure is a :class:`CacheEntryError`."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes)
+                          else data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CacheEntryError(f"unreadable {what} JSON ({exc})") from None
+
+
+def _encode_state(state: Mapping[str, np.ndarray]) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **{name: np.ascontiguousarray(array)
+                        for name, array in state.items()})
+    return buffer.getvalue()
+
+
+def _decode_state(data: bytes) -> Dict[str, np.ndarray]:
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+# --------------------------------------------------------------------------- #
+# The store contract
 # --------------------------------------------------------------------------- #
 class ReportCache:
-    """Content-addressed report + checkpoint store.
+    """Content-addressed report + checkpoint + plan store.
 
-    Subclasses implement the raw primitives (``_read_entry`` /
-    ``_write_entry`` / ``_read_state`` / ``_write_state`` / ``_keys`` /
-    ``_remove``); validation, the ``repro-cache-entry/1`` codec, traffic
-    counters and near-miss search are shared here.  ``get`` never raises on
-    a damaged entry: a bad digest, truncated JSON or unknown schema version
-    is reported as a :class:`CacheIntegrityWarning` and treated as a miss.
+    Subclasses implement five byte-level primitives over the artifact kinds
+    ``"entries"``, ``"checkpoints"`` and ``"plans"`` (``_read`` /
+    ``_write`` / ``_names`` / ``_remove`` / ``_nbytes``) plus
+    ``_next_seq``, the store-wide recency counter.  The codecs, validation,
+    traffic counters and near-miss search are shared here, and every read
+    goes through :meth:`_load`, which decodes and validates an artifact
+    once.  No read raises on a damaged artifact: a non-UTF-8 byte,
+    truncated JSON or npz, unknown schema version or digest mismatch is
+    reported as a :class:`CacheIntegrityWarning` and treated as a miss.
     """
 
     def __init__(self) -> None:
@@ -217,53 +258,37 @@ class ReportCache:
         self._writes = 0
 
     # -- primitives (subclass responsibility) ---------------------------- #
-    def _read_entry(self, combined: str) -> Optional[str]:
-        """The entry's raw JSON text, or ``None`` when absent."""
+    def _read(self, kind: str, name: str) -> Optional[bytes]:
+        """One artifact's stored bytes, or ``None`` when absent."""
         raise NotImplementedError
 
-    def _write_entry(self, combined: str, text: str) -> None:
+    def _write(self, kind: str, name: str, data: bytes) -> None:
+        """Store one artifact atomically, replacing any previous one."""
         raise NotImplementedError
 
-    def _read_state(self, combined: str) -> Optional[Dict[str, np.ndarray]]:
-        raise NotImplementedError
-
-    def _write_state(self, combined: str,
-                     state: Mapping[str, np.ndarray]) -> None:
-        raise NotImplementedError
-
-    def _keys(self) -> List[str]:
-        """Combined keys of every stored entry (no particular order).
+    def _names(self, kind: str) -> List[str]:
+        """Names of every stored artifact of ``kind`` (no particular order).
 
         Recency does **not** live here: filesystem mtimes are too coarse
         (1 s on some filesystems) to order same-second writes, so age is
-        tracked by the monotonic ``seq`` number persisted inside each
-        entry — see :meth:`_lru_keys`.
+        tracked by the ``seq`` stamp persisted inside each entry — see
+        :meth:`_lru_keys`.
         """
         raise NotImplementedError
 
-    def _remove(self, combined: str) -> None:
-        """Drop one entry and its checkpoint (missing entries are fine)."""
+    def _remove(self, kind: str, name: str) -> None:
+        """Drop one artifact (missing artifacts are fine)."""
         raise NotImplementedError
 
-    def _read_plan(self, address: str) -> Optional[str]:
-        """The raw JSON text of one stored plan artifact, or ``None``."""
+    def _nbytes(self, kind: str, name: str) -> int:
+        """Stored size of one artifact (0 when absent)."""
         raise NotImplementedError
 
-    def _write_plan(self, address: str, text: str) -> None:
+    def _next_seq(self) -> int:
+        """Mint the next store-wide recency stamp; never the same twice."""
         raise NotImplementedError
 
-    def _plan_keys(self) -> List[str]:
-        """Addresses of every stored plan artifact."""
-        raise NotImplementedError
-
-    def _remove_plan(self, address: str) -> None:
-        raise NotImplementedError
-
-    def _content_stats(self) -> Tuple[int, int, int, int]:
-        """(entries, checkpoints, plans, total_bytes) of the stored content."""
-        raise NotImplementedError
-
-    # -- entry codec ------------------------------------------------------ #
+    # -- codecs ------------------------------------------------------------ #
     @staticmethod
     def _encode(key: CacheKey, report: CompressionReport,
                 has_checkpoint: bool,
@@ -280,12 +305,9 @@ class ReportCache:
         }
 
     @staticmethod
-    def _decode(text: str) -> Dict[str, Any]:
-        """Parse + validate raw entry text; raises :class:`CacheEntryError`."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CacheEntryError(f"unreadable entry JSON ({exc})") from None
+    def _decode(data: Union[bytes, str]) -> Dict[str, Any]:
+        """Parse + validate one entry; raises :class:`CacheEntryError`."""
+        payload = _parse(data, "entry")
         schema = payload.get("schema") if isinstance(payload, dict) else None
         if schema != CACHE_ENTRY_SCHEMA:
             raise CacheEntryError(
@@ -297,81 +319,92 @@ class ReportCache:
                 "report digest mismatch: the stored entry was corrupted")
         return payload
 
-    def _warn(self, combined: str, error: Exception) -> None:
+    @staticmethod
+    def _decode_plan(data: Union[bytes, str]) -> Dict[str, Any]:
+        """Parse + validate one plan; raises :class:`CacheEntryError`."""
+        payload = _parse(data, "plan")
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if not (isinstance(schema, str) and schema.startswith("repro-plan/")):
+            raise CacheEntryError(f"unsupported plan schema {schema!r}")
+        body = {k: v for k, v in payload.items() if k != "digest"}
+        if payload.get("digest") != payload_digest(body):
+            raise CacheEntryError(
+                "plan payload digest mismatch: the stored artifact was "
+                "corrupted")
+        return payload
+
+    def _warn(self, name: str, error: Exception) -> None:
         warnings.warn(
-            f"report-cache entry {combined[:12]}… is unusable and was "
+            f"report-cache entry {name[:12]}… is unusable and was "
             f"treated as a miss: {error}", CacheIntegrityWarning,
-            stacklevel=3)
+            stacklevel=4)
+
+    def _load(self, kind: str, name: str, decode: Callable[[bytes], Any],
+              count: bool = False) -> Any:
+        """Read, decode and validate one artifact; ``None`` on a miss.
+
+        A damaged artifact is a :class:`CacheIntegrityWarning` plus a miss.
+        ``count=True`` records the outcome in the hit / miss counters.
+        """
+        data = self._read(kind, name)
+        value = None
+        if data is not None:
+            try:
+                value = decode(data)
+            except Exception as exc:
+                self._warn(name, exc)
+        if count:
+            with self._lock:
+                if value is None:
+                    self._misses += 1
+                else:
+                    self._hits += 1
+        return value
 
     # -- recency ----------------------------------------------------------- #
     def _entry_seq(self, combined: str) -> int:
         """The persisted ``seq`` of one entry; ``-1`` for damaged/legacy."""
-        text = self._read_entry(combined)
-        if text is None:
-            return -1
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            return -1
+        payload = self._load("entries", combined,
+                             lambda data: _parse(data, "entry"))
         seq = payload.get("seq") if isinstance(payload, dict) else None
         return seq if isinstance(seq, int) and not isinstance(seq, bool) else -1
-
-    def _next_seq(self) -> int:
-        """One more than the highest ``seq`` stored anywhere in this store."""
-        highest = -1
-        for combined in self._keys():
-            highest = max(highest, self._entry_seq(combined))
-        return highest + 1
 
     def _lru_keys(self) -> List[str]:
         """Combined keys, least recently used first.
 
-        Ordered by the persisted ``seq`` (written on :meth:`put`, refreshed
-        on every :meth:`get` hit) with the combined digest as a
-        deterministic tie-break; legacy entries without a ``seq`` sort
+        Ordered by the persisted ``seq`` (minted by :meth:`_next_seq` on
+        :meth:`put` and on every :meth:`get` hit) with the combined digest
+        as a deterministic tie-break; legacy entries without a ``seq`` sort
         first and are evicted before anything stamped.
         """
-        return sorted(self._keys(),
+        return sorted(self._names("entries"),
                       key=lambda combined: (self._entry_seq(combined),
                                             combined))
 
     # -- public API -------------------------------------------------------- #
     def get(self, key: CacheKey) -> Optional[CompressionReport]:
         """The stored report for ``key``, or ``None`` (miss) — never raises."""
-        entry = self.entry(key)
-        if entry is None:
-            with self._lock:
-                self._misses += 1
+        def decode(data: bytes) -> Tuple[Dict[str, Any], CompressionReport]:
+            entry = self._decode(data)
+            return entry, CompressionReport.from_dict(entry["report"])
+
+        loaded = self._load("entries", key.combined, decode, count=True)
+        if loaded is None:
             return None
-        try:
-            report = CompressionReport.from_dict(entry["report"])
-        except Exception as exc:
-            self._warn(key.combined, exc)
-            with self._lock:
-                self._misses += 1
-            return None
+        entry, report = loaded
         try:
             # Touch: refresh the entry's seq so gc eviction is genuinely
             # least-recently-*used*, not write-order.  Best effort — a
             # read-only store must not turn a hit into a crash.
             entry["seq"] = self._next_seq()
-            self._write_entry(key.combined, json.dumps(entry, sort_keys=True))
+            self._write("entries", key.combined, _dump(entry))
         except Exception:
             pass
-        with self._lock:
-            self._hits += 1
         return report
 
     def entry(self, key: CacheKey) -> Optional[Dict[str, Any]]:
         """The validated raw entry payload, or ``None`` — never raises."""
-        text = self._read_entry(key.combined)
-        if text is None:
-            return None
-        try:
-            return self._decode(text)
-        except CacheEntryError as exc:
-            self._warn(key.combined, exc)
-            return None
+        return self._load("entries", key.combined, self._decode)
 
     def put(self, key: CacheKey, report: CompressionReport,
             checkpoint: Optional[Mapping[str, np.ndarray]] = None,
@@ -383,21 +416,16 @@ class ReportCache:
         atomic per artifact.
         """
         if checkpoint is not None:
-            self._write_state(key.combined, checkpoint)
+            self._write("checkpoints", key.combined, _encode_state(checkpoint))
         entry = self._encode(key, report, checkpoint is not None, warm_source)
         entry["seq"] = self._next_seq()
-        self._write_entry(key.combined,
-                          json.dumps(entry, sort_keys=True))
+        self._write("entries", key.combined, _dump(entry))
         with self._lock:
             self._writes += 1
 
     def checkpoint(self, key: CacheKey) -> Optional[Dict[str, np.ndarray]]:
         """The stored parameter/buffer arrays for ``key``, or ``None``."""
-        try:
-            return self._read_state(key.combined)
-        except Exception as exc:
-            self._warn(key.combined, exc)
-            return None
+        return self._load("checkpoints", key.combined, _decode_state)
 
     def nearest_checkpoint(self, key: CacheKey,
                            spec_payload: Mapping[str, Any]
@@ -414,15 +442,11 @@ class ReportCache:
         write order or filesystem timestamps.
         """
         best: Optional[Tuple[float, str, Dict[str, Any]]] = None
-        for combined in self._keys():
+        for combined in self._names("entries"):
             if combined == key.combined:
                 continue
-            text = self._read_entry(combined)
-            if text is None:
-                continue
-            try:
-                entry = self._decode(text)
-            except CacheEntryError:
+            entry = self._load("entries", combined, self._decode)
+            if entry is None:
                 continue  # damaged entries never seed anything
             entry_key = entry.get("key") or {}
             if (entry_key.get("method") != key.method
@@ -436,11 +460,7 @@ class ReportCache:
         if best is None:
             return None
         _, combined, entry = best
-        try:
-            state = self._read_state(combined)
-        except Exception as exc:
-            self._warn(combined, exc)
-            return None
+        state = self._load("checkpoints", combined, _decode_state)
         if state is None:
             return None
         return WarmStart(source=combined,
@@ -455,53 +475,26 @@ class ReportCache:
         or a payload-digest mismatch is a :class:`CacheIntegrityWarning`
         plus a miss, so a corrupt artifact can only cost a recompile.
         """
-        text = self._read_plan(address)
-        if text is None:
-            with self._lock:
-                self._misses += 1
-            return None
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._warn(address, CacheEntryError(
-                f"unreadable plan JSON ({exc})"))
-            with self._lock:
-                self._misses += 1
-            return None
-        schema = payload.get("schema") if isinstance(payload, dict) else None
-        if not (isinstance(schema, str) and schema.startswith("repro-plan/")):
-            self._warn(address, CacheEntryError(
-                f"unsupported plan schema {schema!r}"))
-            with self._lock:
-                self._misses += 1
-            return None
-        body = {k: v for k, v in payload.items() if k != "digest"}
-        if payload.get("digest") != payload_digest(body):
-            self._warn(address, CacheEntryError(
-                "plan payload digest mismatch: the stored artifact was "
-                "corrupted"))
-            with self._lock:
-                self._misses += 1
-            return None
-        with self._lock:
-            self._hits += 1
-        return payload
+        return self._load("plans", address, self._decode_plan, count=True)
 
     def put_plan(self, address: str, payload: Mapping[str, Any]) -> None:
         """Store one serialized plan payload under ``address``."""
         if not isinstance(payload, Mapping):
             raise TypeError(
                 f"plan payload must be a mapping, got {type(payload).__name__}")
-        self._write_plan(address, json.dumps(dict(payload), sort_keys=True))
+        self._write("plans", address, _dump(dict(payload)))
         with self._lock:
             self._writes += 1
 
     # -- maintenance ------------------------------------------------------- #
     def stats(self) -> CacheStats:
-        entries, checkpoints, plans, total_bytes = self._content_stats()
+        sizes = {kind: [self._nbytes(kind, name) for name in self._names(kind)]
+                 for kind in _KINDS}
         with self._lock:
-            return CacheStats(entries=entries, checkpoints=checkpoints,
-                              plans=plans, total_bytes=total_bytes,
+            return CacheStats(entries=len(sizes["entries"]),
+                              checkpoints=len(sizes["checkpoints"]),
+                              plans=len(sizes["plans"]),
+                              total_bytes=sum(map(sum, sizes.values())),
                               hits=self._hits, misses=self._misses,
                               writes=self._writes)
 
@@ -521,90 +514,63 @@ class ReportCache:
         keys = self._lru_keys()
         if clear:
             doomed = keys
-            for address in self._plan_keys():
-                self._remove_plan(address)
+            for address in self._names("plans"):
+                self._remove("plans", address)
         elif max_entries is not None and len(keys) > max_entries:
             doomed = keys[:len(keys) - max_entries]
         else:
             doomed = []
         for combined in doomed:
-            self._remove(combined)
+            self._remove("entries", combined)
+            self._remove("checkpoints", combined)
         return len(doomed)
 
     def __len__(self) -> int:
-        return len(self._keys())
+        return len(self._names("entries"))
 
 
 # --------------------------------------------------------------------------- #
 # In-memory store (tests / single-process warm layer)
 # --------------------------------------------------------------------------- #
 class MemoryReportCache(ReportCache):
-    """The store contract over plain dicts — nothing touches the filesystem.
+    """The store contract over one ``{(kind, name): bytes}`` dict.
 
-    Entries still round-trip through their JSON text, so everything the
-    persistent store guarantees (schema validation, digest guarding,
-    wire-format fidelity of replayed reports) holds here too.
+    Nothing touches the filesystem, but every artifact goes through the
+    same byte codecs as :class:`FileReportCache` (JSON entries and plans,
+    ``.npz`` checkpoints), so everything the persistent store guarantees
+    (schema validation, digest guarding, wire-format fidelity of replayed
+    reports and checkpoints) holds here too.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._entries: "Dict[str, str]" = {}
-        self._states: Dict[str, Dict[str, np.ndarray]] = {}
-        self._plans: "Dict[str, str]" = {}
+        self._blobs: Dict[Tuple[str, str], bytes] = {}
+        self._last_seq = -1
 
-    def _read_entry(self, combined: str) -> Optional[str]:
+    def _read(self, kind: str, name: str) -> Optional[bytes]:
         with self._lock:
-            return self._entries.get(combined)
+            return self._blobs.get((kind, name))
 
-    def _write_entry(self, combined: str, text: str) -> None:
+    def _write(self, kind: str, name: str, data: bytes) -> None:
         with self._lock:
-            self._entries[combined] = text
+            self._blobs[kind, name] = data
 
-    def _read_state(self, combined: str) -> Optional[Dict[str, np.ndarray]]:
+    def _names(self, kind: str) -> List[str]:
         with self._lock:
-            state = self._states.get(combined)
-            return None if state is None else {name: array.copy()
-                                               for name, array in state.items()}
+            return [name for stored, name in self._blobs if stored == kind]
 
-    def _write_state(self, combined: str,
-                     state: Mapping[str, np.ndarray]) -> None:
+    def _remove(self, kind: str, name: str) -> None:
         with self._lock:
-            self._states[combined] = {name: np.ascontiguousarray(array).copy()
-                                      for name, array in state.items()}
+            self._blobs.pop((kind, name), None)
 
-    def _keys(self) -> List[str]:
+    def _nbytes(self, kind: str, name: str) -> int:
         with self._lock:
-            return list(self._entries)
+            return len(self._blobs.get((kind, name), b""))
 
-    def _remove(self, combined: str) -> None:
+    def _next_seq(self) -> int:
         with self._lock:
-            self._entries.pop(combined, None)
-            self._states.pop(combined, None)
-
-    def _read_plan(self, address: str) -> Optional[str]:
-        with self._lock:
-            return self._plans.get(address)
-
-    def _write_plan(self, address: str, text: str) -> None:
-        with self._lock:
-            self._plans[address] = text
-
-    def _plan_keys(self) -> List[str]:
-        with self._lock:
-            return list(self._plans)
-
-    def _remove_plan(self, address: str) -> None:
-        with self._lock:
-            self._plans.pop(address, None)
-
-    def _content_stats(self) -> Tuple[int, int, int, int]:
-        with self._lock:
-            text_bytes = sum(len(text) for text in self._entries.values())
-            state_bytes = sum(array.nbytes for state in self._states.values()
-                              for array in state.values())
-            plan_bytes = sum(len(text) for text in self._plans.values())
-            return (len(self._entries), len(self._states), len(self._plans),
-                    text_bytes + state_bytes + plan_bytes)
+            self._last_seq += 1
+            return self._last_seq
 
 
 # --------------------------------------------------------------------------- #
@@ -618,39 +584,50 @@ class FileReportCache(ReportCache):
         <root>/entries/<combined>.json       repro-cache-entry/1 payloads
         <root>/checkpoints/<combined>.npz    finalized model parameters
         <root>/plans/<address>.json          repro-plan/1 compiled plans
+        <root>/seq                           the last recency stamp minted
 
-    Both artifact kinds are written atomically (temp file + ``os.replace``)
-    so concurrent sessions — or a crash mid-write — can never leave a
-    half-written entry that parses; anything damaged on disk is handled by
-    the read-side validation (warning + miss).
+    Artifacts are written atomically (temp file + ``os.replace``) so
+    concurrent sessions — or a crash mid-write — can never leave a
+    half-written artifact that parses; anything damaged on disk is handled
+    by the read-side validation (warning + miss).  The ``seq`` counter is
+    read and advanced under an exclusive ``flock``, so writers sharing a
+    root — threads or processes — never mint the same stamp.
     """
 
     def __init__(self, root: Union[str, "os.PathLike[str]"]):
         super().__init__()
         self.root = os.path.abspath(os.fspath(root))
-        self._entries_dir = os.path.join(self.root, "entries")
-        self._states_dir = os.path.join(self.root, "checkpoints")
-        self._plans_dir = os.path.join(self.root, "plans")
 
     # -- paths ------------------------------------------------------------- #
-    def _entry_path(self, combined: str) -> str:
-        return os.path.join(self._entries_dir, f"{combined}.json")
+    def _path(self, kind: str, name: str) -> str:
+        return os.path.join(self.root, kind, name + _KINDS[kind])
 
-    def _state_path(self, combined: str) -> str:
-        return os.path.join(self._states_dir, f"{combined}.npz")
+    def _entry_path(self, combined: str) -> str:
+        return self._path("entries", combined)
 
     def _plan_path(self, address: str) -> str:
-        return os.path.join(self._plans_dir, f"{address}.json")
+        return self._path("plans", address)
 
-    @staticmethod
-    def _atomic_write(path: str, writer) -> None:
+    # -- primitives -------------------------------------------------------- #
+    def _read(self, kind: str, name: str) -> Optional[bytes]:
+        try:
+            with open(self._path(kind, name), "rb") as stream:
+                return stream.read()
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+        except OSError as exc:
+            self._warn(name, exc)
+            return None
+
+    def _write(self, kind: str, name: str, data: bytes) -> None:
+        path = self._path(kind, name)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
-        handle, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".tmp-", suffix=os.path.splitext(path)[1])
+        handle, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                                            suffix=_KINDS[kind])
         try:
             with os.fdopen(handle, "wb") as stream:
-                writer(stream)
+                stream.write(data)
             os.replace(tmp_path, path)
         except BaseException:
             try:
@@ -659,105 +636,46 @@ class FileReportCache(ReportCache):
                 pass
             raise
 
-    # -- primitives -------------------------------------------------------- #
-    def _read_entry(self, combined: str) -> Optional[str]:
+    def _names(self, kind: str) -> List[str]:
+        suffix = _KINDS[kind]
         try:
-            with open(self._entry_path(combined), "r", encoding="utf-8") as f:
-                return f.read()
-        except (FileNotFoundError, NotADirectoryError):
-            return None
-        except OSError as exc:
-            self._warn(combined, exc)
-            return None
-
-    def _write_entry(self, combined: str, text: str) -> None:
-        self._atomic_write(self._entry_path(combined),
-                           lambda stream: stream.write(text.encode("utf-8")))
-
-    def _read_state(self, combined: str) -> Optional[Dict[str, np.ndarray]]:
-        path = self._state_path(combined)
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            return {name: archive[name] for name in archive.files}
-
-    def _write_state(self, combined: str,
-                     state: Mapping[str, np.ndarray]) -> None:
-        arrays = {name: np.ascontiguousarray(array)
-                  for name, array in state.items()}
-        self._atomic_write(self._state_path(combined),
-                           lambda stream: np.savez(stream, **arrays))
-
-    @staticmethod
-    def _listing(directory: str, suffix: str) -> List[str]:
-        try:
-            names = os.listdir(directory)
+            names = os.listdir(os.path.join(self.root, kind))
         except (FileNotFoundError, NotADirectoryError):
             return []
-        # Sorted filenames, not mtimes: getmtime is 1 s-coarse on some
-        # filesystems, so mtime order for same-second writes was really
-        # digest-alphabetical — and never "least recently used" anyway,
-        # since reads don't bump mtime.  Recency lives in the entry's
-        # persisted seq (see ReportCache._lru_keys).
         return sorted(name[:-len(suffix)] for name in names
                       if name.endswith(suffix) and not name.startswith("."))
 
-    def _keys(self) -> List[str]:
-        return self._listing(self._entries_dir, ".json")
-
-    def _remove(self, combined: str) -> None:
-        for path in (self._entry_path(combined), self._state_path(combined)):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def _read_plan(self, address: str) -> Optional[str]:
+    def _remove(self, kind: str, name: str) -> None:
         try:
-            with open(self._plan_path(address), "r", encoding="utf-8") as f:
-                return f.read()
-        except (FileNotFoundError, NotADirectoryError):
-            return None
-        except OSError as exc:
-            self._warn(address, exc)
-            return None
-
-    def _write_plan(self, address: str, text: str) -> None:
-        self._atomic_write(self._plan_path(address),
-                           lambda stream: stream.write(text.encode("utf-8")))
-
-    def _plan_keys(self) -> List[str]:
-        return self._listing(self._plans_dir, ".json")
-
-    def _remove_plan(self, address: str) -> None:
-        try:
-            os.unlink(self._plan_path(address))
+            os.unlink(self._path(kind, name))
         except OSError:
             pass
 
-    def _content_stats(self) -> Tuple[int, int, int, int]:
-        entries = checkpoints = plans = total_bytes = 0
-        for directory, suffix in ((self._entries_dir, ".json"),
-                                  (self._states_dir, ".npz"),
-                                  (self._plans_dir, ".json")):
+    def _nbytes(self, kind: str, name: str) -> int:
+        try:
+            return os.path.getsize(self._path(kind, name))
+        except OSError:
+            return 0
+
+    def _next_seq(self) -> int:
+        os.makedirs(self.root, exist_ok=True)
+        fd = os.open(os.path.join(self.root, "seq"), os.O_RDWR | os.O_CREAT,
+                     0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released by os.close
             try:
-                names = os.listdir(directory)
-            except (FileNotFoundError, NotADirectoryError):
-                continue
-            for name in names:
-                if not name.endswith(suffix) or name.startswith("."):
-                    continue
-                try:
-                    total_bytes += os.path.getsize(os.path.join(directory, name))
-                except OSError:
-                    continue
-                if directory is self._entries_dir:
-                    entries += 1
-                elif directory is self._states_dir:
-                    checkpoints += 1
-                else:
-                    plans += 1
-        return entries, checkpoints, plans, total_bytes
+                seq = int(os.read(fd, 32)) + 1
+            except ValueError:
+                # No counter yet (or a torn one): seed it once from the
+                # highest stamp on any stored entry.
+                seq = max(map(self._entry_seq, self._names("entries")),
+                          default=-1) + 1
+            data = str(seq).encode("ascii")
+            os.pwrite(fd, data, 0)
+            os.ftruncate(fd, len(data))
+            return seq
+        finally:
+            os.close(fd)
 
 
 # --------------------------------------------------------------------------- #
@@ -783,7 +701,8 @@ def resolve_cache(cache: CacheArg) -> Tuple[Optional[ReportCache], str]:
     * ``"read"`` / ``"write"`` / ``"readwrite"`` → the
       :func:`default_cache` store under that policy;
     * a :class:`ReportCache` instance → that store, ``"readwrite"``;
-    * an explicit ``(store, policy)`` pair → as given.
+    * an explicit ``(store, policy)`` pair → as given, except that
+      ``(store, "off")`` is ``"off"``: no store.
     """
     if cache is None or cache == "off":
         return None, "off"
@@ -805,7 +724,7 @@ def resolve_cache(cache: CacheArg) -> Tuple[Optional[ReportCache], str]:
             raise ValueError(
                 f"unknown cache policy {policy!r}: expected one of "
                 f"{list(CACHE_POLICIES)}")
-        return (store, "off") if policy == "off" else (store, policy)
+        return (None, "off") if policy == "off" else (store, policy)
     raise TypeError(
         "cache must be None, a policy string ('off'/'read'/'write'/"
         "'readwrite'), a ReportCache, or a (ReportCache, policy) tuple; "
@@ -831,7 +750,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     gc_parser.add_argument("--max-entries", type=int, default=None,
                            help="keep at most this many entries")
     gc_parser.add_argument("--clear", action="store_true",
-                           help="remove every entry and checkpoint")
+                           help="remove every entry, checkpoint and plan")
     args = parser.parse_args(argv)
 
     store = FileReportCache(args.dir) if args.dir else default_cache()

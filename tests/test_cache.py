@@ -25,6 +25,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -252,6 +253,101 @@ class TestReportCacheStores:
         assert store.entry(second) is not None
 
 
+def _keys(key, count, offset=0):
+    """``count`` distinct same-family keys derived from ``key``."""
+    return [api.CacheKey(method=key.method, spec=f"{offset + i:064x}",
+                         model=key.model, data=key.data)
+            for i in range(count)]
+
+
+class CountingMemoryCache(api.MemoryReportCache):
+    """Counts the ``entries`` artifacts the store reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.entry_reads = 0
+
+    def _read(self, kind, name):
+        if kind == "entries":
+            self.entry_reads += 1
+        return super()._read(kind, name)
+
+
+class TestRecencyCounter:
+    def test_hit_reads_one_entry_and_put_reads_none(self, report_and_key):
+        report, key = report_and_key
+        store = CountingMemoryCache()
+        for entry_key in _keys(key, 49):
+            store.put(entry_key, report)
+        store.entry_reads = 0
+        store.put(key, report)              # the 50th entry
+        assert store.entry_reads == 0
+        assert store.get(key) is not None
+        assert store.entry_reads == 1
+
+    def test_recency_survives_across_instances(self, tmp_path,
+                                               report_and_key):
+        report, key = report_and_key
+        root = tmp_path / "cache"
+        older, newer = _keys(key, 2)
+        api.FileReportCache(root).put(older, report)
+        api.FileReportCache(root).put(newer, report)
+        assert api.FileReportCache(root).get(older) is not None
+        store = api.FileReportCache(root)
+        assert [store.entry(k)["seq"] for k in (older, newer)] == [2, 1]
+        assert store.gc(max_entries=1) == 1
+        assert store.entry(newer) is None   # untouched entry was evicted
+
+    def test_counter_seeds_from_highest_stamped_entry(self, tmp_path,
+                                                      report_and_key):
+        report, key = report_and_key
+        store = api.FileReportCache(tmp_path / "cache")
+        legacy, fresh = _keys(key, 2)
+        store.put(legacy, report)
+        path = store._entry_path(legacy.combined)
+        with open(path, "r", encoding="utf-8") as f:
+            entry = json.load(f)
+        entry["seq"] = 7                    # seq sits outside the digest
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(entry, f)
+        os.unlink(os.path.join(store.root, "seq"))
+        store.put(fresh, report)
+        assert store.entry(fresh)["seq"] == 8
+
+    def test_concurrent_writers_mint_distinct_seqs(self, tmp_path,
+                                                   report_and_key):
+        """Eight writers, each with its own store on one root, never mint
+        the same seq (the counter is advanced under a file lock)."""
+        report, key = report_and_key
+        root = tmp_path / "cache"
+        errors = []
+
+        def writer(index):
+            try:
+                store = api.FileReportCache(root)
+                for entry_key in _keys(key, 5, offset=5 * index):
+                    store.put(entry_key, report)
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        store = api.FileReportCache(root)
+        seqs = [store.entry(k)["seq"] for k in _keys(key, 40)]
+        assert sorted(seqs) == list(range(40))
+
+
 class TestNearestCheckpoint:
     def _put(self, store, key, report, ratio):
         spec = cost_spec(config=api.MagnitudeSpec(prune_ratio=ratio),
@@ -362,6 +458,15 @@ class TestPlanArtifacts:
         with pytest.warns(api.CacheIntegrityWarning, match="schema"):
             assert store.get_plan("a" * 64) is None
 
+    def test_non_utf8_artifact_is_a_warned_miss(self, tmp_path):
+        store = api.FileReportCache(tmp_path / "cache")
+        store.put_plan("a" * 64, _plan_artifact())
+        with open(store._plan_path("a" * 64), "r+b") as f:
+            f.write(b"\xff\xfe")
+        with pytest.warns(api.CacheIntegrityWarning, match="unreadable"):
+            assert store.get_plan("a" * 64) is None
+        assert store.stats().misses == 1
+
     def test_gc_clear_removes_plans(self, store):
         store.put_plan("a" * 64, _plan_artifact())
         store.gc(clear=True)
@@ -432,6 +537,42 @@ class TestCorruptEntries:
         query_key = api.CacheKey(method=key.method, spec=query.digest(),
                                  model=key.model, data=key.data)
         assert store.nearest_checkpoint(query_key, query.to_dict()) is None
+
+    def test_non_utf8_entry_is_a_warned_miss_everywhere(self, populated):
+        store, key, path = populated
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(b"\xff\xfe" + data)
+        self._assert_warned_miss(store, key)
+        with pytest.warns(api.CacheIntegrityWarning, match="unreadable"):
+            assert store.entry(key) is None
+        query = cost_spec(config=api.MagnitudeSpec(prune_ratio=0.4))
+        query_key = api.CacheKey(method=key.method, spec=query.digest(),
+                                 model=key.model, data=key.data)
+        with pytest.warns(api.CacheIntegrityWarning, match="unreadable"):
+            assert store.nearest_checkpoint(query_key, query.to_dict()) is None
+        with pytest.warns(api.CacheIntegrityWarning, match="unreadable"):
+            assert store.gc(max_entries=1) == 0
+
+    def test_truncated_checkpoint_is_a_warned_miss(self, tmp_path,
+                                                   report_and_key):
+        store = api.FileReportCache(tmp_path / "cache")
+        report, key = report_and_key
+        store.put(key, report,
+                  checkpoint=report.compressed.model.state_dict())
+        path = os.path.join(store.root, "checkpoints", f"{key.combined}.npz")
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(data[:len(data) // 2])
+        with pytest.warns(api.CacheIntegrityWarning):
+            assert store.checkpoint(key) is None
+        query = cost_spec(config=api.MagnitudeSpec(prune_ratio=0.4))
+        query_key = api.CacheKey(method=key.method, spec=query.digest(),
+                                 model=key.model, data=key.data)
+        with pytest.warns(api.CacheIntegrityWarning):
+            assert store.nearest_checkpoint(query_key, query.to_dict()) is None
 
     def test_decode_error_reasons_are_specific(self):
         with pytest.raises(CacheEntryError, match="unreadable"):
@@ -524,6 +665,11 @@ class TestSessionCacheReplay:
             api.resolve_cache("sometimes")
         with pytest.raises(TypeError):
             api.resolve_cache(42)
+
+    def test_off_pair_resolves_to_no_store(self):
+        # Same as cache="off": an off session never hashes its model.
+        assert api.resolve_cache((api.MemoryReportCache(), "off")) == \
+            (None, "off")
 
     def test_env_var_selects_the_default_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv(api.CACHE_ENV_VAR, str(tmp_path / "envcache"))

@@ -228,7 +228,7 @@ def test_plan_address_tracks_model_and_options(report):
 def test_corrupt_stored_plan_recompiles_with_warning(tmp_path, report):
     cache = api.FileReportCache(tmp_path / "cache")
     plan = api.compile_report(report, cache=cache)
-    address = cache._plan_keys()[0]
+    address = cache._names("plans")[0]
     path = cache._plan_path(address)
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
