@@ -15,7 +15,7 @@ buffers — so this module is the software mirror of that schedule.
 Numerical note: each output element is still the same contraction over the
 same reduction axis, but BLAS may pick a different micro-kernel for very
 narrow bands, so banded results are not guaranteed bit-identical to the
-unbanded einsum (they agree to normal floating-point tolerance).  The plan
+unbanded matmul (they agree to normal floating-point tolerance).  The plan
 compiler therefore only bands convolutions whose column block exceeds the
 budget, and never bands below :data:`MIN_BAND_ROWS` output rows.
 """
@@ -105,7 +105,5 @@ class StreamedConv:
                 band_cols.reshape(n, c, kh, kw, rows, out_w),
                 windows[:, :, :, :, r0:r1, :],
             )
-            backend.einsum_out(
-                "of,nfl->nol", w_mat, band_cols,
-                out=out3d[:, :, r0 * out_w:r1 * out_w],
-            )
+            backend.matmul_out(w_mat, band_cols,
+                               out=out3d[:, :, r0 * out_w:r1 * out_w])

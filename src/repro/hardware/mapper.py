@@ -11,8 +11,9 @@ remaining fully reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Tuple
 
 from .dataflow import SpatialMapping, map_row_stationary
@@ -49,7 +50,7 @@ class Tiling:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessCounts:
     """Word-granularity access counts per memory level for one layer."""
 
@@ -139,26 +140,35 @@ def search_mapping(layer: ConvLayerShape, spec: EyerissSpec,
                    max_candidates: int = 100_000) -> Mapping:
     """Exhaustively search the tiling space and return the lowest-energy mapping.
 
-    Raises ``RuntimeError`` if no feasible mapping exists (which for the
-    modelled buffer sizes only happens for degenerate layers).
+    The search depends only on the layer's geometry and the spec, so it is
+    memoized on both with the name blanked; the result is rebound to
+    ``layer``.  Raises ``RuntimeError`` if no feasible mapping exists (which
+    for the modelled buffer sizes only happens for degenerate layers).
     """
-    spatial = map_row_stationary(layer, spec)
+    best = _search(replace(layer, name=""), spec, max_candidates)
+    if best is None:
+        raise RuntimeError(f"no feasible mapping found for layer '{layer.name}'")
+    return replace(best, layer=layer)
+
+
+@functools.lru_cache(maxsize=1024)
+def _search(geometry: ConvLayerShape, spec: EyerissSpec,
+            max_candidates: int) -> Optional[Mapping]:
+    spatial = map_row_stationary(geometry, spec)
     best: Optional[Mapping] = None
     evaluated = 0
-    for ci_tile in _divisor_candidates(layer.in_channels):
-        for co_tile in _divisor_candidates(layer.out_channels):
-            for row_tile in _divisor_candidates(layer.output_hw[0]):
+    for ci_tile in _divisor_candidates(geometry.in_channels):
+        for co_tile in _divisor_candidates(geometry.out_channels):
+            for row_tile in _divisor_candidates(geometry.output_hw[0]):
                 evaluated += 1
                 if evaluated > max_candidates:
                     break
                 tiling = Tiling(ci_tile, co_tile, row_tile)
-                accesses = _count_accesses(layer, tiling, spec)
+                accesses = _count_accesses(geometry, tiling, spec)
                 if accesses is None:
                     continue
                 energy = _energy(accesses, spec)
                 if best is None or energy < best.energy:
-                    best = Mapping(layer=layer, spatial=spatial, tiling=tiling,
+                    best = Mapping(layer=geometry, spatial=spatial, tiling=tiling,
                                    accesses=accesses, energy=energy)
-    if best is None:
-        raise RuntimeError(f"no feasible mapping found for layer '{layer.name}'")
     return best

@@ -106,7 +106,7 @@ def conv_windows(x: np.ndarray, kernel: Tuple[int, int],
 
 
 class NumpyBackend(Backend):
-    """Reference backend: plain numpy, einsum-lowered convolutions.
+    """Reference backend: plain numpy, matmul-lowered convolutions.
 
     Every kernel that compiled plans call takes an ``out=`` destination
     (``matmul_out`` / ``einsum_out`` / ``im2col_out``); there is no

@@ -3,7 +3,7 @@
 Every function takes and returns :class:`~repro.nn.tensor.Tensor` objects
 and participates in the recorded-op tape.  Convolutions are implemented
 with an im2col lowering (owned by the active :mod:`repro.nn.backend`) so
-that the heavy lifting is a single einsum/matrix multiply, which keeps
+that the heavy lifting is a single matrix multiply, which keeps
 pure-numpy training of the small CNNs used in the ALF paper tractable.
 
 The conv/pool primitives are **registered ops** (see
@@ -59,13 +59,11 @@ def _conv2d_fwd(x, weight, *bias, stride, padding):
         raise ValueError(f"input channels ({ci}) do not match weight channels ({ci_w})")
     cols, (out_h, out_w) = backend.im2col(x, (kh, kw), stride, padding)
     w_mat = weight.reshape(co, -1)
-    out = backend.einsum("of,nfl->nol", w_mat, cols)
-    # einsum may hand back a transposed GEMM view; canonicalize to C order
-    # so downstream reductions see one deterministic iteration order (the
-    # same one the compiled-plan arena buffers use).
-    out = backend.ascontiguousarray(out.reshape(n, co, out_h, out_w))
+    # matmul writes a fresh C-order result: the layout (and reduction
+    # order) of the compiled-plan arena buffers.
+    out = backend.matmul(w_mat, cols).reshape(n, co, out_h, out_w)
     if bias:
-        # The einsum output is fresh and unshared, so the bias is added in
+        # The matmul output is fresh and unshared, so the bias is added in
         # place instead of materializing a second full activation array.
         out += bias[0].reshape(1, co, 1, 1)
     ctx = (cols, w_mat, x.shape, weight.shape, (kh, kw), stride, padding,
@@ -84,7 +82,8 @@ def _conv2d_bwd(ctx, grad, needs):
     if needs[1]:
         grad_w = backend.einsum("nol,nfl->of", grad_mat, cols).reshape(w_shape)
     if needs[0]:
-        grad_cols = backend.einsum("of,nol->nfl", w_mat, grad_mat)
+        # C-order (n, f, l) columns: col2im reads them along l, not f.
+        grad_cols = backend.matmul(w_mat.T, grad_mat)
         grad_x = backend.col2im(grad_cols, x_shape, kernel, stride, padding, out_hw)
     if len(needs) > 2 and needs[2]:
         grad_b = grad.sum(axis=(0, 2, 3)).reshape(b_shape)

@@ -369,9 +369,9 @@ def test_pooling_routes_through_backend():
 
 
 def test_plan_kernels_route_through_backend():
-    # Plan conv/pool steps gather via im2col_out and contract via
-    # einsum_out, and the dense head runs matmul_out: all on the backend
-    # the plan was compiled under, so subclass overrides are honoured.
+    # Plan conv/pool steps gather via im2col_out, and every conv step and
+    # the dense head contract via matmul_out (never einsum_out): all on the
+    # backend the plan was compiled under, so subclass overrides are honoured.
     backend = _CountingBackend()
     model = build_model("lenet", rng=np.random.default_rng(0))
     with use_backend(backend):
@@ -379,8 +379,11 @@ def test_plan_kernels_route_through_backend():
     x = np.random.default_rng(1).standard_normal((1, 1, 16, 16))
     backend.calls.clear()
     plan(x.astype(plan.input_dtype))
-    for kernel in ("im2col_out", "einsum_out", "matmul_out"):
-        assert backend.calls.get(kernel, 0) >= 1, kernel
+    counts = plan.stats.step_counts
+    assert counts.get("conv", 0) >= 1 and counts.get("matmul", 0) >= 1, counts
+    assert backend.calls.get("im2col_out", 0) >= 1
+    assert backend.calls.get("matmul_out", 0) >= counts["conv"] + counts["matmul"]
+    assert backend.calls.get("einsum_out", 0) == 0
 
 
 # --------------------------------------------------------------------------- #

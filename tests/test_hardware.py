@@ -157,6 +157,30 @@ class TestMapperEnergyLatency:
         with pytest.raises(RuntimeError):
             search_mapping(huge, EYERISS_PAPER)
 
+    def test_infeasible_layer_error_names_the_layer(self):
+        for name in ("huge_a", "huge_b"):
+            huge = ConvLayerShape(name, 4, 4, 500, (600, 600), stride=1, padding=0)
+            with pytest.raises(RuntimeError, match=name):
+                search_mapping(huge, EYERISS_PAPER)
+
+    def test_search_is_memoized_on_geometry(self):
+        from repro.hardware.mapper import _search
+
+        layers = [make_layer(name="a"), make_layer(name="b", ci=32, co=32, hw=(8, 8)),
+                  make_layer(name="c")]
+        _search.cache_clear()
+        fresh = evaluate_layers(layers, name="net").to_dict()
+        hits = _search.cache_info().hits
+        assert hits >= 1  # "c" shares "a"'s geometry
+        assert evaluate_layers(layers, name="net").to_dict() == fresh
+        assert _search.cache_info().hits >= hits + len(layers)
+
+    def test_memoized_mapping_keeps_each_layer_name(self):
+        first = search_mapping(make_layer(name="first"), EYERISS_PAPER)
+        second = search_mapping(make_layer(name="second"), EYERISS_PAPER)
+        assert (first.layer.name, second.layer.name) == ("first", "second")
+        assert first.tiling == second.tiling and first.energy == second.energy
+
 
 class TestNetworkReports:
     def test_evaluate_layers_totals(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn.backend import NumpyBackend, use_backend
 from repro.nn.utils import check_gradient
 
 
@@ -62,6 +63,27 @@ class TestConv2d:
         w = rng.standard_normal((3, 2, 3, 3))
         check_gradient(lambda t: F.conv2d(Tensor(x), Tensor(w), t, padding=1).sum(),
                        rng.standard_normal((3,)))
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_gemm_results_are_c_contiguous(self, rng, kernel, stride, padding):
+        # col2im scatters along the spatial axis: handing it columns with
+        # the filter axis fastest (a transposed GEMM view) is ~10x slower.
+        class LayoutBackend(NumpyBackend):
+            col2im_layouts = []
+
+            def col2im(self, cols, *args, **kwargs):
+                self.col2im_layouts.append(cols.flags.c_contiguous)
+                return super().col2im(cols, *args, **kwargs)
+
+        backend = LayoutBackend()
+        x = Tensor(rng.standard_normal((4, 8, 9, 9)), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 8, kernel, kernel)), requires_grad=True)
+        b = Tensor(rng.standard_normal((6,)), requires_grad=True)
+        with use_backend(backend):
+            out = F.conv2d(x, w, b, stride=stride, padding=padding)
+            out.sum().backward()
+        assert out.data.flags.c_contiguous
+        assert backend.col2im_layouts and all(backend.col2im_layouts)
 
     def test_output_size_formula(self):
         assert F.conv_output_size(32, 3, 1, 1) == 32
